@@ -38,8 +38,16 @@ fn main() {
     }
     println!("\n(absolute wall-clock numbers reflect this machine and the in-process");
     println!("transport; only the ordering and rough magnitude are comparable.");
-    println!("The crypto is a from-scratch software AES: run with --release — and note");
-    println!("that the paper's enclaves use AES-NI, so its relative overheads are far");
-    println!("smaller than a software-AES build can show; the calibrated model above is");
-    println!("the faithful reproduction of Table 1)");
+    let backend = zkcrypto::gcm::backend_name();
+    println!("AES-GCM ran on the `{backend}` backend; run with --release.");
+    if backend == zkcrypto::gcm::HW_BACKEND {
+        println!("Like the paper's enclaves, it used AES-NI; the in-process transport and");
+        println!("simulated enclaves still differ from SGX, so the calibrated model above");
+        println!("is the faithful reproduction of Table 1)");
+    } else {
+        println!("This CPU lacks AES-NI/CLMUL, so the crypto is table-driven software AES;");
+        println!("the paper's enclaves used AES-NI, so its relative overheads are far smaller");
+        println!("than this run can show; the calibrated model above is the faithful");
+        println!("reproduction of Table 1)");
+    }
 }

@@ -1,8 +1,9 @@
 //! Shared helpers for the figure/table reproduction binaries.
 //!
 //! Each binary in `src/bin/` regenerates one figure or table of the paper's
-//! evaluation (see `DESIGN.md` for the index) and prints it as an aligned text
-//! table: one row per x value, one column per series. Run them with, e.g.,
+//! evaluation (the index is "Paper mapping" in `README.md`; the crates they
+//! drive are laid out in `docs/ARCHITECTURE.md`) and prints it as an aligned
+//! text table: one row per x value, one column per series. Run them with, e.g.,
 //!
 //! ```text
 //! cargo run -p bench --bin fig07_get_throughput

@@ -23,6 +23,8 @@
 //! - Per-tenant admission control ([`opsplane::TenantRateLimiter`]) and
 //!   `gw_`-prefixed metrics make the tier operable on its own.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod lanes;
 pub mod metrics;

@@ -6,29 +6,58 @@
 //! paper refers to as the "HMAC" appended to each ciphertext.
 //!
 //! Because every single ZooKeeper request passes through this cipher at least
-//! twice (transport + storage), the hot paths are table-driven:
+//! twice (transport + storage), [`AesGcm128::new`] picks the fastest backend
+//! the CPU offers, once per key:
 //!
-//! * GHASH uses Shoup's 4-bit table method: the key-dependent 16-entry table
-//!   `nibble[n] = (n·x⁰..x³)·H` is precomputed once per key
-//!   ([`GhashTable`]), expanded into byte-indexed tables for `H..H⁴`, after
-//!   which bulk data is absorbed four blocks at a time with aggregated
-//!   reduction — instead of a 128-iteration bit-serial loop per block. The
-//!   bit-serial [`gf128_mul`] is retained as the reference oracle (and is
-//!   what builds the tables, so the two can never drift apart silently);
-//! * CTR keystream generation works on a four-block batch buffer with
-//!   interleaved in-place block encryption ([`Aes128::encrypt_blocks4`]) —
-//!   no per-block `encrypt_block_copy`;
-//! * [`AesGcm128::seal_in_place`] / [`AesGcm128::open_in_place`] (and their
-//!   `_suffix` variants for layouts with a plaintext header such as
-//!   `IV || ciphertext`) encrypt/decrypt a caller-provided buffer with zero
-//!   intermediate allocations. [`AesGcm128::seal`]/[`AesGcm128::open`] are
-//!   thin copying wrappers kept for callers that only hold a slice.
+//! * **`aesni-clmul`** — the AES-NI + PCLMULQDQ kernels of the vendored
+//!   `gcmhw` crate (8-block interleaved CTR, 4-block aggregated GHASH), used
+//!   whenever the CPU has `aes`, `pclmulqdq` and `ssse3`. All of its `unsafe`
+//!   stays in that crate; this one remains `forbid(unsafe_code)`.
+//! * **`portable`** — the table-driven software path below, used on any
+//!   other CPU and by [`AesGcm128::portable`]:
+//!   * GHASH uses Shoup's 4-bit table method: the key-dependent 16-entry table
+//!     `nibble[n] = (n·x⁰..x³)·H` is precomputed once per key
+//!     ([`GhashTable`]), expanded into byte-indexed tables for `H..H⁴`, after
+//!     which bulk data is absorbed four blocks at a time with aggregated
+//!     reduction — instead of a 128-iteration bit-serial loop per block. The
+//!     bit-serial [`gf128_mul`] is retained as the reference oracle (and is
+//!     what builds the tables, so the two can never drift apart silently);
+//!   * CTR keystream generation works on a four-block batch buffer with
+//!     interleaved in-place block encryption ([`Aes128::encrypt_blocks4`]) —
+//!     no per-block `encrypt_block_copy`.
+//!
+//! Both backends produce identical bytes; `tests/proptests.rs` checks them
+//! against each other and against a naive reference GCM. Nothing outside
+//! [`AesGcm128::portable`] selects a backend: no feature, variable or config.
+//!
+//! [`AesGcm128::seal_in_place`] / [`AesGcm128::open_in_place`] (and their
+//! `_suffix` variants for layouts with a plaintext header such as
+//! `IV || ciphertext`) encrypt/decrypt a caller-provided buffer with zero
+//! intermediate allocations. [`AesGcm128::seal`]/[`AesGcm128::open`] are thin
+//! copying wrappers kept for callers that only hold a slice.
+
+use gcmhw::Kernel;
 
 use crate::aes::Aes128;
 use crate::error::CryptoError;
 use crate::hmac::constant_time_eq;
 use crate::keys::Key128;
 use crate::{NONCE_LEN, TAG_LEN};
+
+/// [`backend_name`] of the AES-NI + PCLMULQDQ backend.
+pub const HW_BACKEND: &str = "aesni-clmul";
+/// [`backend_name`] of the table-driven software backend.
+pub const PORTABLE_BACKEND: &str = "portable";
+
+/// The backend [`AesGcm128::new`] selects on this CPU: [`HW_BACKEND`] or
+/// [`PORTABLE_BACKEND`].
+pub fn backend_name() -> &'static str {
+    if gcmhw::is_supported() {
+        HW_BACKEND
+    } else {
+        PORTABLE_BACKEND
+    }
+}
 
 /// AES-128-GCM authenticated encryption.
 ///
@@ -45,6 +74,23 @@ use crate::{NONCE_LEN, TAG_LEN};
 /// ```
 #[derive(Clone)]
 pub struct AesGcm128 {
+    backend: Backend,
+}
+
+/// The AES and GHASH implementation behind one key, chosen in
+/// [`AesGcm128::new`]. Both variants are boxed, so an `AesGcm128` stays
+/// pointer-sized whichever it holds (the kernel's keys are 240 B, the
+/// portable key schedule and tables several KiB).
+#[derive(Clone)]
+enum Backend {
+    /// Hardware kernel: expanded round keys and `H..H⁴`.
+    Hw(Box<Kernel>),
+    /// Software fallback: T-table AES and GHASH tables.
+    Portable(Box<Portable>),
+}
+
+#[derive(Clone)]
+struct Portable {
     cipher: Aes128,
     /// Precomputed 4-bit GHASH multiplication table for H = E_K(0^128).
     ghash_key: GhashTable,
@@ -52,20 +98,42 @@ pub struct AesGcm128 {
 
 impl std::fmt::Debug for AesGcm128 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never print key material (the GHASH tables are key-derived).
+        // Never print key material: both backends hold key-derived state.
         f.debug_struct("AesGcm128")
-            .field("cipher", &self.cipher)
-            .field("ghash_key", &self.ghash_key)
+            .field("backend", &self.backend_name())
+            .field("keys", &"<redacted>")
             .finish()
     }
 }
 
 impl AesGcm128 {
-    /// Creates a GCM instance for the given 128-bit key.
+    /// Creates a GCM instance for the given 128-bit key on the hardware
+    /// backend if the CPU supports it, else on the portable one.
     pub fn new(key: &Key128) -> Self {
+        match Kernel::new(key.as_bytes()) {
+            Some(kernel) => AesGcm128 { backend: Backend::Hw(Box::new(kernel)) },
+            None => AesGcm128::portable(key),
+        }
+    }
+
+    /// Creates a GCM instance on the table-driven software backend whatever
+    /// the CPU supports. For equivalence tests and benchmarks that must run
+    /// the fallback on an AES-NI host; production code calls
+    /// [`AesGcm128::new`].
+    pub fn portable(key: &Key128) -> Self {
         let cipher = Aes128::new(key.as_bytes());
         let h_block = cipher.encrypt_block_copy(&[0u8; 16]);
-        AesGcm128 { cipher, ghash_key: GhashTable::new(u128::from_be_bytes(h_block)) }
+        let ghash_key = GhashTable::new(u128::from_be_bytes(h_block));
+        AesGcm128 { backend: Backend::Portable(Box::new(Portable { cipher, ghash_key })) }
+    }
+
+    /// The backend this instance runs on: [`HW_BACKEND`] or
+    /// [`PORTABLE_BACKEND`].
+    pub fn backend_name(&self) -> &'static str {
+        match self.backend {
+            Backend::Hw(_) => HW_BACKEND,
+            Backend::Portable(_) => PORTABLE_BACKEND,
+        }
     }
 
     /// Encrypts `plaintext` with `nonce`, authenticating `aad` as well, and
@@ -197,13 +265,59 @@ impl AesGcm128 {
             j0
         } else {
             // Otherwise J0 = GHASH(IV padded to a block || 0^64 || len(IV)).
-            let mut ghash = Ghash::new(&self.ghash_key);
-            ghash.update_padded(nonce);
-            ghash.update_block((nonce.len() as u128) * 8);
-            ghash.finalize()
+            self.ghash(nonce, &[], (nonce.len() as u128) * 8)
         }
     }
 
+    /// GHASH of `first` and `second`, each zero-padded to a block boundary,
+    /// followed by the block `closing`.
+    fn ghash(&self, first: &[u8], second: &[u8], closing: u128) -> [u8; 16] {
+        match &self.backend {
+            Backend::Hw(kernel) => {
+                let mut y = [0u8; 16];
+                kernel.ghash_update(&mut y, first);
+                kernel.ghash_update(&mut y, second);
+                kernel.ghash_update(&mut y, &closing.to_be_bytes());
+                y
+            }
+            Backend::Portable(portable) => {
+                let mut ghash = Ghash::new(&portable.ghash_key);
+                ghash.update_padded(first);
+                ghash.update_padded(second);
+                ghash.update_block(closing);
+                ghash.finalize()
+            }
+        }
+    }
+
+    /// CTR-mode keystream XOR starting at `counter`.
+    fn ctr_transform(&self, counter: [u8; 16], data: &mut [u8]) {
+        match &self.backend {
+            Backend::Hw(kernel) => kernel.ctr_xor(&counter, data),
+            Backend::Portable(portable) => portable.ctr_transform(counter, data),
+        }
+    }
+
+    fn compute_tag(&self, j0: [u8; 16], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
+        let lengths = ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8);
+        let s = self.ghash(aad, ciphertext, lengths);
+        let e_j0 = match &self.backend {
+            Backend::Hw(kernel) => {
+                let mut block = j0;
+                kernel.encrypt_block(&mut block);
+                block
+            }
+            Backend::Portable(portable) => portable.cipher.encrypt_block_copy(&j0),
+        };
+        let mut tag = [0u8; 16];
+        for i in 0..16 {
+            tag[i] = s[i] ^ e_j0[i];
+        }
+        tag
+    }
+}
+
+impl Portable {
     /// CTR-mode keystream XOR starting at `counter`, processing four blocks
     /// per loop iteration with in-place batch encryption.
     fn ctr_transform(&self, counter: [u8; 16], data: &mut [u8]) {
@@ -233,20 +347,6 @@ impl AesGcm128 {
             self.cipher.encrypt_block(block);
             xor_slice(chunk, &block[..chunk.len()]);
         }
-    }
-
-    fn compute_tag(&self, j0: [u8; 16], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
-        let mut ghash = Ghash::new(&self.ghash_key);
-        ghash.update_padded(aad);
-        ghash.update_padded(ciphertext);
-        ghash.update_lengths(aad.len(), ciphertext.len());
-        let s = ghash.finalize();
-        let e_j0 = self.cipher.encrypt_block_copy(&j0);
-        let mut tag = [0u8; 16];
-        for i in 0..16 {
-            tag[i] = s[i] ^ e_j0[i];
-        }
-        tag
     }
 }
 
@@ -481,12 +581,6 @@ impl<'a> Ghash<'a> {
         }
     }
 
-    /// Absorbs the closing `len(A) || len(C)` block (bit lengths).
-    pub fn update_lengths(&mut self, aad_len: usize, ct_len: usize) {
-        let block = ((aad_len as u128 * 8) << 64) | (ct_len as u128 * 8);
-        self.update_block(block);
-    }
-
     /// Returns the accumulator as a big-endian block.
     pub fn finalize(self) -> [u8; 16] {
         self.y.to_be_bytes()
@@ -531,96 +625,110 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    fn cipher_from_hex(key_hex: &str) -> AesGcm128 {
-        let key_bytes = hex_to_bytes(key_hex);
-        let mut key = [0u8; 16];
-        key.copy_from_slice(&key_bytes);
-        AesGcm128::new(&Key128::from_bytes(key))
+    /// The default backend and the portable one for the same key, so every
+    /// known-answer test pins both (on a CPU without AES-NI both are
+    /// portable).
+    fn both_backends(key: [u8; 16]) -> [AesGcm128; 2] {
+        let key = Key128::from_bytes(key);
+        [AesGcm128::new(&key), AesGcm128::portable(&key)]
+    }
+
+    fn ciphers_from_hex(key_hex: &str) -> [AesGcm128; 2] {
+        both_backends(hex_to_bytes(key_hex).try_into().unwrap())
     }
 
     // NIST GCM test case 1: empty plaintext, empty AAD, zero key/IV.
     #[test]
     fn nist_test_case_1_empty() {
-        let cipher = AesGcm128::new(&Key128::from_bytes([0u8; 16]));
-        let out = cipher.seal(&[0u8; 12], b"", b"");
-        assert_eq!(hex(&out), "58e2fccefa7e3061367f1d57a4e7455a");
+        for cipher in both_backends([0u8; 16]) {
+            let out = cipher.seal(&[0u8; 12], b"", b"");
+            assert_eq!(hex(&out), "58e2fccefa7e3061367f1d57a4e7455a");
+        }
     }
 
     // NIST GCM test case 2: single zero block.
     #[test]
     fn nist_test_case_2_single_block() {
-        let cipher = AesGcm128::new(&Key128::from_bytes([0u8; 16]));
-        let out = cipher.seal(&[0u8; 12], &[0u8; 16], b"");
-        assert_eq!(hex(&out), "0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf");
+        for cipher in both_backends([0u8; 16]) {
+            let out = cipher.seal(&[0u8; 12], &[0u8; 16], b"");
+            assert_eq!(
+                hex(&out),
+                "0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf"
+            );
+        }
     }
 
     // NIST GCM test case 3: 4-block plaintext with key/IV from the spec.
     #[test]
     fn nist_test_case_3() {
-        let cipher = cipher_from_hex("feffe9928665731c6d6a8f9467308308");
-        let iv = hex_to_bytes("cafebabefacedbaddecaf888");
-        let plaintext = hex_to_bytes(
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a721c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
-        );
-        let out = cipher.seal(&iv, &plaintext, b"");
-        let expected_ct = "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985";
-        let expected_tag = "4d5c2af327cd64a62cf35abd2ba6fab4";
-        assert_eq!(hex(&out[..plaintext.len()]), expected_ct);
-        assert_eq!(hex(&out[plaintext.len()..]), expected_tag);
+        for cipher in ciphers_from_hex("feffe9928665731c6d6a8f9467308308") {
+            let iv = hex_to_bytes("cafebabefacedbaddecaf888");
+            let plaintext = hex_to_bytes(
+                "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a721c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
+            );
+            let out = cipher.seal(&iv, &plaintext, b"");
+            let expected_ct = "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985";
+            let expected_tag = "4d5c2af327cd64a62cf35abd2ba6fab4";
+            assert_eq!(hex(&out[..plaintext.len()]), expected_ct);
+            assert_eq!(hex(&out[plaintext.len()..]), expected_tag);
+        }
     }
 
     // NIST GCM test case 4: plaintext not a multiple of the block size + AAD.
     #[test]
     fn nist_test_case_4_with_aad() {
-        let cipher = cipher_from_hex("feffe9928665731c6d6a8f9467308308");
-        let iv = hex_to_bytes("cafebabefacedbaddecaf888");
-        let plaintext = hex_to_bytes(
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a721c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
-        );
-        let aad = hex_to_bytes("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-        let out = cipher.seal(&iv, &plaintext, &aad);
-        let expected_ct = "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091";
-        let expected_tag = "5bc94fbc3221a5db94fae95ae7121a47";
-        assert_eq!(hex(&out[..plaintext.len()]), expected_ct);
-        assert_eq!(hex(&out[plaintext.len()..]), expected_tag);
-        // And decryption round-trips with the same AAD.
-        assert_eq!(cipher.open(&iv, &out, &aad).unwrap(), plaintext);
+        for cipher in ciphers_from_hex("feffe9928665731c6d6a8f9467308308") {
+            let iv = hex_to_bytes("cafebabefacedbaddecaf888");
+            let plaintext = hex_to_bytes(
+                "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a721c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+            );
+            let aad = hex_to_bytes("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+            let out = cipher.seal(&iv, &plaintext, &aad);
+            let expected_ct = "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091";
+            let expected_tag = "5bc94fbc3221a5db94fae95ae7121a47";
+            assert_eq!(hex(&out[..plaintext.len()]), expected_ct);
+            assert_eq!(hex(&out[plaintext.len()..]), expected_tag);
+            // And decryption round-trips with the same AAD.
+            assert_eq!(cipher.open(&iv, &out, &aad).unwrap(), plaintext);
+        }
     }
 
     // NIST GCM test case 5: 8-byte (64-bit) IV exercises the GHASH-derived J0.
     #[test]
     fn nist_test_case_5_short_iv() {
-        let cipher = cipher_from_hex("feffe9928665731c6d6a8f9467308308");
-        let iv = hex_to_bytes("cafebabefacedbad");
-        let plaintext = hex_to_bytes(
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a721c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
-        );
-        let aad = hex_to_bytes("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-        let out = cipher.seal(&iv, &plaintext, &aad);
-        let expected_ct = "61353b4c2806934a777ff51fa22a4755699b2a714fcdc6f83766e5f97b6c742373806900e49f24b22b097544d4896b424989b5e1ebac0f07c23f4598";
-        let expected_tag = "3612d2e79e3b0785561be14aaca2fccb";
-        assert_eq!(hex(&out[..plaintext.len()]), expected_ct);
-        assert_eq!(hex(&out[plaintext.len()..]), expected_tag);
-        assert_eq!(cipher.open(&iv, &out, &aad).unwrap(), plaintext);
+        for cipher in ciphers_from_hex("feffe9928665731c6d6a8f9467308308") {
+            let iv = hex_to_bytes("cafebabefacedbad");
+            let plaintext = hex_to_bytes(
+                "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a721c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+            );
+            let aad = hex_to_bytes("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+            let out = cipher.seal(&iv, &plaintext, &aad);
+            let expected_ct = "61353b4c2806934a777ff51fa22a4755699b2a714fcdc6f83766e5f97b6c742373806900e49f24b22b097544d4896b424989b5e1ebac0f07c23f4598";
+            let expected_tag = "3612d2e79e3b0785561be14aaca2fccb";
+            assert_eq!(hex(&out[..plaintext.len()]), expected_ct);
+            assert_eq!(hex(&out[plaintext.len()..]), expected_tag);
+            assert_eq!(cipher.open(&iv, &out, &aad).unwrap(), plaintext);
+        }
     }
 
     // NIST GCM test case 6: 60-byte IV exercises multi-block J0 hashing.
     #[test]
     fn nist_test_case_6_long_iv() {
-        let cipher = cipher_from_hex("feffe9928665731c6d6a8f9467308308");
-        let iv = hex_to_bytes(
-            "9313225df88406e555909c5aff5269aa6a7a9538534f7da1e4c303d2a318a728c3c0c95156809539fcf0e2429a6b525416aedbf5a0de6a57a637b39b",
-        );
-        let plaintext = hex_to_bytes(
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a721c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
-        );
-        let aad = hex_to_bytes("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-        let out = cipher.seal(&iv, &plaintext, &aad);
-        let expected_ct = "8ce24998625615b603a033aca13fb894be9112a5c3a211a8ba262a3cca7e2ca701e4a9a4fba43c90ccdcb281d48c7c6fd62875d2aca417034c34aee5";
-        let expected_tag = "619cc5aefffe0bfa462af43c1699d050";
-        assert_eq!(hex(&out[..plaintext.len()]), expected_ct);
-        assert_eq!(hex(&out[plaintext.len()..]), expected_tag);
-        assert_eq!(cipher.open(&iv, &out, &aad).unwrap(), plaintext);
+        for cipher in ciphers_from_hex("feffe9928665731c6d6a8f9467308308") {
+            let iv = hex_to_bytes(
+                "9313225df88406e555909c5aff5269aa6a7a9538534f7da1e4c303d2a318a728c3c0c95156809539fcf0e2429a6b525416aedbf5a0de6a57a637b39b",
+            );
+            let plaintext = hex_to_bytes(
+                "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a721c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+            );
+            let aad = hex_to_bytes("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+            let out = cipher.seal(&iv, &plaintext, &aad);
+            let expected_ct = "8ce24998625615b603a033aca13fb894be9112a5c3a211a8ba262a3cca7e2ca701e4a9a4fba43c90ccdcb281d48c7c6fd62875d2aca417034c34aee5";
+            let expected_tag = "619cc5aefffe0bfa462af43c1699d050";
+            assert_eq!(hex(&out[..plaintext.len()]), expected_ct);
+            assert_eq!(hex(&out[plaintext.len()..]), expected_tag);
+            assert_eq!(cipher.open(&iv, &out, &aad).unwrap(), plaintext);
+        }
     }
 
     #[test]
@@ -766,14 +874,21 @@ mod tests {
 
     #[test]
     fn debug_output_redacts_ghash_tables() {
-        let cipher = AesGcm128::new(&Key128::from_bytes([9u8; 16]));
+        let key = Key128::from_bytes([9u8; 16]);
+        let cipher = AesGcm128::portable(&key);
         let rendered = format!("{cipher:?}");
         assert!(rendered.contains("redacted"));
+        assert!(rendered.contains(PORTABLE_BACKEND));
         // The GHASH subkey for this key must not appear in any form: check
         // that no table word leaks as a decimal number.
-        let h = cipher.ghash_key.nibble[8];
+        let Backend::Portable(portable) = &cipher.backend else { unreachable!() };
+        let h = portable.ghash_key.nibble[8];
         assert!(!rendered.contains(&format!("{h}")));
         assert!(!rendered.contains(&format!("{:x}", h)));
+        // The hardware backend prints its name and nothing key-derived.
+        let rendered = format!("{:?}", AesGcm128::new(&key));
+        assert!(rendered.contains(backend_name()) && rendered.contains("redacted"));
+        assert!(!rendered.contains(&format!("{h}")));
     }
 
     #[test]

@@ -3,14 +3,18 @@
 //! The original SecureKeeper enclaves use the Intel SGX SDK crypto library
 //! (AES-GCM-128), SHA-256 based initialization vectors and HMACs, and a
 //! URL-safe Base64 encoding so that ciphertext remains a valid znode path.
-//! This crate provides the same primitives implemented from scratch in safe
-//! Rust, so that the rest of the workspace has no external cryptographic
-//! dependencies.
+//! This crate provides the same primitives in safe Rust, so that the rest of
+//! the workspace has no external cryptographic dependencies.
 //!
-//! The hot paths (AES, GHASH, Base64 decode) are table-driven — see
-//! `README.md` for the architecture decisions — while the original naive
-//! implementations are retained as reference oracles that the property tests
-//! check the fast paths against.
+//! AES-GCM, the cipher on every request, dispatches at construction: on a CPU
+//! with AES-NI and PCLMULQDQ, [`gcm::AesGcm128::new`] runs the hardware
+//! kernels of the vendored `gcmhw` crate, which holds every line of their
+//! `unsafe`; elsewhere it runs the portable table-driven AES and GHASH of
+//! this crate. [`gcm::backend_name`] says which. The portable hot paths (AES,
+//! GHASH, Base64 decode) are table-driven — see `README.md` for the
+//! architecture decisions — and the original naive implementations are
+//! retained as reference oracles that the property tests check both backends
+//! against.
 //!
 //! # Example
 //!

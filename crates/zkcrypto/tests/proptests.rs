@@ -12,6 +12,63 @@ fn u128_from_bytes(bytes: [u8; 16]) -> u128 {
     u128::from_be_bytes(bytes)
 }
 
+/// GHASH straight from SP 800-38D: one bit-serial multiplication per
+/// zero-padded block of each part, then the closing block.
+fn naive_ghash(h: u128, parts: [&[u8]; 2], closing: u128) -> u128 {
+    let mut y = 0u128;
+    for part in parts {
+        for chunk in part.chunks(16) {
+            let mut block = [0u8; 16];
+            block[..chunk.len()].copy_from_slice(chunk);
+            y = gf128_mul(y ^ u128::from_be_bytes(block), h);
+        }
+    }
+    gf128_mul(y ^ closing, h)
+}
+
+/// Naive reference AES-GCM seal built only from the byte-oriented reference
+/// AES and the bit-serial `gf128_mul`: per-block CTR, any nonce length.
+fn naive_seal(key: [u8; 16], nonce: &[u8], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
+    let aes = Aes128::new(&key);
+    let encrypt = |block: [u8; 16]| {
+        let mut out = block;
+        aes.encrypt_block_reference(&mut out);
+        out
+    };
+    let h = u128::from_be_bytes(encrypt([0u8; 16]));
+    let j0 = if nonce.len() == 12 {
+        let mut j0 = [0u8; 16];
+        j0[..12].copy_from_slice(nonce);
+        j0[15] = 1;
+        j0
+    } else {
+        naive_ghash(h, [nonce, &[]], nonce.len() as u128 * 8).to_be_bytes()
+    };
+    let mut counter = j0;
+    let mut out = plaintext.to_vec();
+    for chunk in out.chunks_mut(16) {
+        let ctr = u32::from_be_bytes(counter[12..].try_into().unwrap()).wrapping_add(1);
+        counter[12..].copy_from_slice(&ctr.to_be_bytes());
+        for (byte, ks) in chunk.iter_mut().zip(encrypt(counter)) {
+            *byte ^= ks;
+        }
+    }
+    let lengths = ((aad.len() as u128 * 8) << 64) | (out.len() as u128 * 8);
+    let s = naive_ghash(h, [aad, &out], lengths).to_be_bytes();
+    let tag: Vec<u8> = s.iter().zip(encrypt(j0)).map(|(a, b)| a ^ b).collect();
+    out.extend_from_slice(&tag);
+    out
+}
+
+/// Mostly 96-bit nonces (the fast `IV || ctr` path), sometimes any other
+/// length (J0 hashed with GHASH).
+fn nonce_strategy() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        3 => proptest::collection::vec(any::<u8>(), 12),
+        1 => proptest::collection::vec(any::<u8>(), 1..64),
+    ]
+}
+
 proptest! {
     // The T-table fast path and the retained byte-oriented reference
     // implementation must agree on every key/block pair, in both directions.
@@ -70,6 +127,61 @@ proptest! {
         cipher.open_in_place(&nonce, &mut buffer, &aad).unwrap();
         prop_assert_eq!(&buffer, &plaintext);
     }
+
+    // The default backend (AES-NI + CLMUL where the CPU has it), the portable
+    // table-driven backend and the naive reference GCM produce the same
+    // bytes, and each backend opens the other's output.
+    #[test]
+    fn gcm_hardware_portable_and_naive_reference_agree(
+        key in any::<[u8; 16]>(),
+        nonce in nonce_strategy(),
+        aad in proptest::collection::vec(any::<u8>(), 0..=80),
+        plaintext in proptest::collection::vec(any::<u8>(), 0..=1100),
+    ) {
+        let default = AesGcm128::new(&Key128::from_bytes(key));
+        let portable = AesGcm128::portable(&Key128::from_bytes(key));
+        prop_assert_eq!(default.backend_name(), zkcrypto::gcm::backend_name());
+
+        let expected = naive_seal(key, &nonce, &plaintext, &aad);
+        let from_default = default.seal(&nonce, &plaintext, &aad);
+        let from_portable = portable.seal(&nonce, &plaintext, &aad);
+        prop_assert_eq!(&from_default, &expected);
+        prop_assert_eq!(&from_portable, &expected);
+
+        prop_assert_eq!(&default.open(&nonce, &expected, &aad).unwrap(), &plaintext);
+        prop_assert_eq!(&portable.open(&nonce, &expected, &aad).unwrap(), &plaintext);
+    }
+
+    // A flipped bit in the ciphertext, the tag or the AAD is rejected by both
+    // backends, and the in-place open leaves the buffer as it was.
+    #[test]
+    fn gcm_tampering_is_rejected_by_both_backends(
+        key in any::<[u8; 16]>(),
+        nonce in nonce_strategy(),
+        aad in proptest::collection::vec(any::<u8>(), 1..=80),
+        plaintext in proptest::collection::vec(any::<u8>(), 0..=1100),
+        target in 0u8..3,
+        at in any::<prop::sample::Index>(),
+        bit in 0u8..8,
+    ) {
+        let key = Key128::from_bytes(key);
+        let sealed = AesGcm128::portable(&key).seal(&nonce, &plaintext, &aad);
+        let (mut sealed_bad, mut aad_bad) = (sealed.clone(), aad.clone());
+        match (target, plaintext.is_empty()) {
+            (0, false) => sealed_bad[at.index(plaintext.len())] ^= 1 << bit,
+            // The tag (also when there is no ciphertext to flip).
+            (0 | 1, _) => sealed_bad[plaintext.len() + at.index(16)] ^= 1 << bit,
+            _ => aad_bad[at.index(aad.len())] ^= 1 << bit,
+        }
+        for cipher in [AesGcm128::new(&key), AesGcm128::portable(&key)] {
+            prop_assert!(cipher.open(&nonce, &sealed_bad, &aad_bad).is_err());
+            let mut buffer = sealed_bad.clone();
+            prop_assert!(cipher.open_in_place(&nonce, &mut buffer, &aad_bad).is_err());
+            prop_assert_eq!(&buffer, &sealed_bad);
+            prop_assert_eq!(&cipher.open(&nonce, &sealed, &aad).unwrap(), &plaintext);
+        }
+    }
+
     #[test]
     fn base64_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..512)) {
         let encoded = base64url::encode(&data);

@@ -244,6 +244,16 @@ impl ServerMetrics {
         metrics
             .registry
             .gauge("zk_entry_enclaves", "Per-session entry enclaves currently instantiated.");
+        // Info gauge: always 1, the label names the AES-GCM backend this
+        // host's entry enclaves run (`aesni-clmul` or `portable`).
+        metrics
+            .registry
+            .gauge_with(
+                "zk_crypto_backend",
+                &[("backend", zkcrypto::gcm::backend_name())],
+                "AES-GCM backend selected on this host (info gauge, always 1).",
+            )
+            .set(1);
         let uptime = metrics.registry.gauge("zk_uptime_seconds", "Seconds since server start.");
         let started = Instant::now();
         metrics.registry.register_collector(move || uptime.set(started.elapsed().as_secs() as i64));
@@ -315,6 +325,14 @@ mod tests {
         ] {
             assert!(names.iter().any(|n| n == expected), "missing family {expected}");
         }
+    }
+
+    #[test]
+    fn crypto_backend_info_gauge_names_the_selected_backend() {
+        let text = ServerMetrics::new().registry().render();
+        let series =
+            format!("zk_crypto_backend{{backend=\"{}\"}} 1", zkcrypto::gcm::backend_name());
+        assert!(text.contains(&series), "{text}");
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //! * [`zkserver`] — the ZooKeeper-semantics coordination service substrate;
 //! * [`zab`] — the atomic-broadcast agreement protocol;
 //! * [`jute`] — the wire-format serialization;
-//! * [`zkcrypto`] — the from-scratch cryptographic primitives;
+//! * [`zkcrypto`] — the cryptographic primitives (AES-GCM on AES-NI where the
+//!   CPU has it, portable safe Rust elsewhere);
 //! * [`sgx_sim`] — the SGX enclave simulation;
 //! * [`workload`] — the evaluation harness that regenerates the paper's
 //!   figures and tables.
 //!
-//! See `README.md` for a guided tour and `DESIGN.md` for the experiment index.
+//! See `README.md` for a guided tour and its "Paper mapping" for the
+//! experiment index, and `docs/ARCHITECTURE.md` for how the crates layer.
 
 #![forbid(unsafe_code)]
 

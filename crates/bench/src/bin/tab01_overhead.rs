@@ -40,7 +40,7 @@ fn main() {
     println!("transport; only the ordering and rough magnitude are comparable.");
     let backend = zkcrypto::gcm::backend_name();
     println!("AES-GCM ran on the `{backend}` backend; run with --release.");
-    if backend == zkcrypto::gcm::HW_BACKEND {
+    if backend == "aesni-clmul" {
         println!("Like the paper's enclaves, it used AES-NI; the in-process transport and");
         println!("simulated enclaves still differ from SGX, so the calibrated model above");
         println!("is the faithful reproduction of Table 1)");

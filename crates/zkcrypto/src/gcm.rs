@@ -44,13 +44,13 @@ use crate::hmac::constant_time_eq;
 use crate::keys::Key128;
 use crate::{NONCE_LEN, TAG_LEN};
 
-/// [`backend_name`] of the AES-NI + PCLMULQDQ backend.
-pub const HW_BACKEND: &str = "aesni-clmul";
-/// [`backend_name`] of the table-driven software backend.
-pub const PORTABLE_BACKEND: &str = "portable";
+/// Name of the AES-NI + PCLMULQDQ backend.
+const HW_BACKEND: &str = "aesni-clmul";
+/// Name of the table-driven software backend.
+const PORTABLE_BACKEND: &str = "portable";
 
-/// The backend [`AesGcm128::new`] selects on this CPU: [`HW_BACKEND`] or
-/// [`PORTABLE_BACKEND`].
+/// The backend [`AesGcm128::new`] selects on this CPU: `"aesni-clmul"` or
+/// `"portable"`.
 pub fn backend_name() -> &'static str {
     if gcmhw::is_supported() {
         HW_BACKEND
@@ -78,20 +78,20 @@ pub struct AesGcm128 {
 }
 
 /// The AES and GHASH implementation behind one key, chosen in
-/// [`AesGcm128::new`]. Both variants are boxed, so an `AesGcm128` stays
-/// pointer-sized whichever it holds (the kernel's keys are 240 B, the
-/// portable key schedule and tables several KiB).
+/// [`AesGcm128::new`].
 #[derive(Clone)]
 enum Backend {
     /// Hardware kernel: expanded round keys and `H..H⁴`.
-    Hw(Box<Kernel>),
+    Hw(Kernel),
     /// Software fallback: T-table AES and GHASH tables.
-    Portable(Box<Portable>),
+    Portable(Portable),
 }
 
 #[derive(Clone)]
 struct Portable {
-    cipher: Aes128,
+    /// Boxed so this variant stays about the size of the 240 B kernel: the
+    /// key schedules take 528 B (the GHASH byte tables are boxed already).
+    cipher: Box<Aes128>,
     /// Precomputed 4-bit GHASH multiplication table for H = E_K(0^128).
     ghash_key: GhashTable,
 }
@@ -111,7 +111,7 @@ impl AesGcm128 {
     /// backend if the CPU supports it, else on the portable one.
     pub fn new(key: &Key128) -> Self {
         match Kernel::new(key.as_bytes()) {
-            Some(kernel) => AesGcm128 { backend: Backend::Hw(Box::new(kernel)) },
+            Some(kernel) => AesGcm128 { backend: Backend::Hw(kernel) },
             None => AesGcm128::portable(key),
         }
     }
@@ -121,15 +121,14 @@ impl AesGcm128 {
     /// the fallback on an AES-NI host; production code calls
     /// [`AesGcm128::new`].
     pub fn portable(key: &Key128) -> Self {
-        let cipher = Aes128::new(key.as_bytes());
+        let cipher = Box::new(Aes128::new(key.as_bytes()));
         let h_block = cipher.encrypt_block_copy(&[0u8; 16]);
         let ghash_key = GhashTable::new(u128::from_be_bytes(h_block));
-        AesGcm128 { backend: Backend::Portable(Box::new(Portable { cipher, ghash_key })) }
+        AesGcm128 { backend: Backend::Portable(Portable { cipher, ghash_key }) }
     }
 
-    /// The backend this instance runs on: [`HW_BACKEND`] or
-    /// [`PORTABLE_BACKEND`].
-    pub fn backend_name(&self) -> &'static str {
+    /// The backend this instance runs on.
+    fn backend_name(&self) -> &'static str {
         match self.backend {
             Backend::Hw(_) => HW_BACKEND,
             Backend::Portable(_) => PORTABLE_BACKEND,

@@ -140,7 +140,7 @@ proptest! {
     ) {
         let default = AesGcm128::new(&Key128::from_bytes(key));
         let portable = AesGcm128::portable(&Key128::from_bytes(key));
-        prop_assert_eq!(default.backend_name(), zkcrypto::gcm::backend_name());
+        prop_assert!(format!("{default:?}").contains(zkcrypto::gcm::backend_name()));
 
         let expected = naive_seal(key, &nonce, &plaintext, &aad);
         let from_default = default.seal(&nonce, &plaintext, &aad);

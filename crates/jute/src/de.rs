@@ -79,11 +79,17 @@ impl<'a> InputArchive<'a> {
 
     /// Reads a length-prefixed byte buffer.
     pub fn read_buffer(&mut self, what: &'static str) -> Result<Vec<u8>, JuteError> {
+        Ok(self.read_buffer_slice(what)?.to_vec())
+    }
+
+    /// Reads a length-prefixed byte buffer as a borrow of the input, for
+    /// callers that move the bytes into a container of their own.
+    pub fn read_buffer_slice(&mut self, what: &'static str) -> Result<&'a [u8], JuteError> {
         let len = self.read_i32(what)?;
         if len < 0 || len as usize > MAX_FIELD_LEN {
             return Err(JuteError::InvalidLength { what, length: len as i64 });
         }
-        Ok(self.take(len as usize, what)?.to_vec())
+        self.take(len as usize, what)
     }
 
     /// Reads a length-prefixed UTF-8 string.

@@ -190,8 +190,7 @@ fn decode_body(body: &[u8]) -> Option<Record> {
     let record = match tag {
         TAG_TXN => {
             let zxid = Zxid::from_u64(input.read_i64("record zxid").ok()? as u64);
-            let payload = input.read_buffer("record payload").ok()?;
-            Record::Txn(Txn { zxid, payload })
+            Record::Txn(Txn::new(zxid, input.read_buffer_slice("record payload").ok()?))
         }
         TAG_COMMIT => Record::Commit(Zxid::from_u64(input.read_i64("commit zxid").ok()? as u64)),
         _ => return None,
@@ -606,7 +605,7 @@ mod tests {
     use super::*;
 
     fn txn(epoch: u32, counter: u32, payload: &[u8]) -> Txn {
-        Txn { zxid: Zxid { epoch, counter }, payload: payload.to_vec() }
+        Txn::new(Zxid { epoch, counter }, payload)
     }
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -630,7 +629,7 @@ mod tests {
         let (_, recovery) = Wal::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(recovery.txns.len(), 5);
         assert_eq!(recovery.txns[4].zxid, Zxid { epoch: 1, counter: 5 });
-        assert_eq!(recovery.txns[2].payload, vec![3u8; 32]);
+        assert_eq!(*recovery.txns[2].payload, [3u8; 32]);
         assert_eq!(recovery.committed, Zxid { epoch: 1, counter: 3 });
     }
 
@@ -657,7 +656,7 @@ mod tests {
         wal.sync().unwrap();
         let (_, recovery) = Wal::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(recovery.txns.len(), 3);
-        assert_eq!(recovery.txns[2].payload, b"retry");
+        assert_eq!(&*recovery.txns[2].payload, b"retry");
     }
 
     #[test]
@@ -858,7 +857,7 @@ mod tests {
         wal.sync().unwrap();
         let (_, recovery) = Wal::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(recovery.txns.len(), 3);
-        assert_eq!(recovery.txns[2].payload, b"retry");
+        assert_eq!(&*recovery.txns[2].payload, b"retry");
     }
 
     #[test]

@@ -92,9 +92,11 @@ proptest! {
     ) {
         let dir = tmp_dir("schedule", case);
         let appended: Vec<Txn> = (1..=16u32)
-            .map(|i| Txn {
-                zxid: Zxid { epoch: 1 + i / 9, counter: 1 + (i - 1) % 8 },
-                payload: vec![i as u8; payload_len],
+            .map(|i| {
+                Txn::new(
+                    Zxid { epoch: 1 + i / 9, counter: 1 + (i - 1) % 8 },
+                    vec![i as u8; payload_len],
+                )
             })
             .collect();
         {
@@ -133,7 +135,7 @@ proptest! {
     ) {
         let dir = tmp_dir("corrupt", case);
         let appended: Vec<Txn> = (1..=12u32)
-            .map(|i| Txn { zxid: Zxid { epoch: 1, counter: i }, payload: vec![i as u8; 40] })
+            .map(|i| Txn::new(Zxid { epoch: 1, counter: i }, vec![i as u8; 40]))
             .collect();
         {
             let config = WalConfig { segment_max_bytes: 192, ..WalConfig::default() };
@@ -171,7 +173,7 @@ proptest! {
         prop_assert!(recovery.committed <= recovery.txns.last().map_or(Zxid::ZERO, |t| t.zxid));
         // The log keeps working after whatever recovery salvaged.
         let tip = recovery.txns.last().map_or(Zxid::ZERO, |t| t.zxid);
-        wal.append_txn(&Txn { zxid: tip.next(), payload: b"after recovery".to_vec() }).unwrap();
+        wal.append_txn(&Txn::new(tip.next(), &b"after recovery"[..])).unwrap();
         wal.sync().unwrap();
         let _ = fs::remove_dir_all(&dir);
     }

@@ -277,8 +277,8 @@ mod tests {
         let survivor = cluster.leader_id();
         let committed = cluster.take_committed(survivor);
         assert_eq!(committed.len(), 2);
-        assert_eq!(committed[0].payload, b"before".to_vec());
-        assert_eq!(committed[1].payload, b"after".to_vec());
+        assert_eq!(&*committed[0].payload, b"before");
+        assert_eq!(&*committed[1].payload, b"after");
     }
 
     #[test]
@@ -342,7 +342,7 @@ mod tests {
         let new_leader = cluster.leader_id();
         assert!(cluster.node(new_leader).log().last_committed() >= zxid);
         let payloads: Vec<Vec<u8>> =
-            cluster.node(new_leader).log().committed().map(|t| t.payload.clone()).collect();
+            cluster.node(new_leader).log().committed().map(|t| t.payload.to_vec()).collect();
         assert!(payloads.contains(&b"durable".to_vec()));
     }
 

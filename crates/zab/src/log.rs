@@ -1,4 +1,17 @@
 //! Per-replica transaction log.
+//!
+//! The log holds the proposals a replica has accepted, in zxid order, with
+//! a commit watermark. Committed entries are kept only to serve resyncs of
+//! lagging peers, and a member need not keep all of them: compaction drops
+//! the oldest committed entries and advances the log's *horizon*. A peer
+//! whose tip is below the horizon can no longer be served from the log and
+//! needs a snapshot, which the layer above ships. The networked ensemble
+//! (`zkserver::ensemble`) compacts after every apply, down to a fixed byte
+//! budget of committed payload, and durable members also compact at each
+//! snapshot; the in-process [`crate::cluster::ZabCluster`] has no snapshot
+//! path and never compacts.
+
+use std::collections::VecDeque;
 
 use crate::message::{Txn, Zxid};
 
@@ -33,19 +46,27 @@ pub trait DurableLog: Send {
 /// follower logs a proposal to disk before acknowledging it and applies it to
 /// its database only on commit.
 ///
-/// The log keeps its entries in memory for serving resyncs; an optional
-/// [`DurableLog`] sink mirrors every mutation to disk, and
-/// [`TxnLog::compact_through`] discards the in-memory prefix covered by a
-/// snapshot — the *horizon*. Entries at or below the horizon can no longer
-/// be served from the log; a follower that far behind needs the snapshot
-/// itself (snapshot shipping, handled a layer above).
+/// Entries sit in a deque whose committed entries form a prefix. The log
+/// tracks the length of that prefix and the payload bytes it holds, so
+/// committing, reading a range and compacting cost O(entries touched), not
+/// O(log length). Payloads are shared buffers: handing an entry to the
+/// commit outbox or a sync frame clones a pointer, not the bytes.
+///
+/// [`TxnLog::compact_through`] (at a snapshot) and
+/// [`TxnLog::compact_to_bytes`] (to a byte budget) drop committed entries
+/// from the front and advance the *horizon*; uncommitted entries are never
+/// dropped. An optional [`DurableLog`] sink mirrors every other mutation to
+/// disk — compaction is memory-only, the disk log is purged separately.
 #[derive(Default)]
 pub struct TxnLog {
-    entries: Vec<Txn>,
+    /// Logged entries in zxid order; the first `committed_len` are committed.
+    entries: VecDeque<Txn>,
+    committed_len: usize,
+    /// Payload bytes of the committed prefix.
+    committed_bytes: usize,
     committed_up_to: Zxid,
-    /// Snapshot boundary: entries at or below it have been compacted away.
-    /// Also the floor reported by [`TxnLog::last_logged`] when the in-memory
-    /// suffix is empty.
+    /// Compaction boundary: entries at or below it have been dropped. Also
+    /// the floor reported by [`TxnLog::last_logged`] when the log is empty.
     horizon: Zxid,
     durable: Option<Box<dyn DurableLog>>,
 }
@@ -54,6 +75,8 @@ impl std::fmt::Debug for TxnLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TxnLog")
             .field("entries", &self.entries.len())
+            .field("committed_len", &self.committed_len)
+            .field("committed_bytes", &self.committed_bytes)
             .field("committed_up_to", &self.committed_up_to)
             .field("horizon", &self.horizon)
             .field("durable", &self.durable.is_some())
@@ -73,11 +96,11 @@ impl TxnLog {
     pub fn recovered(entries: Vec<Txn>, committed: Zxid, horizon: Zxid) -> Self {
         let mut log = TxnLog {
             entries: entries.into_iter().filter(|t| t.zxid > horizon).collect(),
-            committed_up_to: Zxid::ZERO,
+            committed_up_to: horizon,
             horizon,
-            durable: None,
+            ..TxnLog::default()
         };
-        log.committed_up_to = committed.max(horizon).min(log.last_logged());
+        log.commit_up_to(committed);
         log
     }
 
@@ -96,7 +119,7 @@ impl TxnLog {
             if let Some(durable) = &mut self.durable {
                 durable.append_txn(&txn);
             }
-            self.entries.push(txn);
+            self.entries.push_back(txn);
         }
     }
 
@@ -110,45 +133,66 @@ impl TxnLog {
     /// instead of being silently skipped.
     pub fn commit_up_to(&mut self, zxid: Zxid) -> Vec<Txn> {
         let target = zxid.min(self.last_logged());
-        let newly: Vec<Txn> = self
-            .entries
-            .iter()
-            .filter(|t| t.zxid > self.committed_up_to && t.zxid <= target)
-            .cloned()
-            .collect();
-        if target > self.committed_up_to {
-            self.committed_up_to = target;
-            if let Some(durable) = &mut self.durable {
-                durable.mark_committed(target);
-            }
+        if target <= self.committed_up_to {
+            return Vec::new();
         }
-        newly
+        let start = self.committed_len;
+        while let Some(txn) = self.entries.get(self.committed_len).filter(|t| t.zxid <= target) {
+            self.committed_bytes += txn.payload.len();
+            self.committed_len += 1;
+        }
+        self.committed_up_to = target;
+        if let Some(durable) = &mut self.durable {
+            durable.mark_committed(target);
+        }
+        self.entries.range(start..self.committed_len).cloned().collect()
     }
 
     /// The zxid of the last appended proposal (committed or not). After
     /// compaction or snapshot install this floors at the horizon — the
-    /// log's credential reflects the snapshotted state even when the
-    /// in-memory suffix is empty.
+    /// log's credential reflects the compacted state even when the log is
+    /// empty.
     pub fn last_logged(&self) -> Zxid {
-        self.entries.last().map_or(self.horizon, |t| t.zxid)
+        self.entries.back().map_or(self.horizon, |t| t.zxid)
     }
 
-    /// The snapshot boundary: entries at or below it were compacted away and
-    /// can no longer be served from this log.
+    /// The compaction boundary: entries at or below it were dropped and can
+    /// no longer be served from this log.
     pub fn horizon(&self) -> Zxid {
         self.horizon
     }
 
-    /// Discards in-memory entries at or below `zxid` (which must be covered
-    /// by a snapshot — only committed entries are compactable) and advances
-    /// the horizon. Bounds leader memory on long-lived ensembles.
+    /// Drops the committed entries at or below `zxid` (a snapshot covers
+    /// them) and advances the horizon. Entries above the commit watermark
+    /// are never dropped.
     pub fn compact_through(&mut self, zxid: Zxid) {
         let cut = zxid.min(self.committed_up_to);
         if cut <= self.horizon {
             return;
         }
-        self.entries.retain(|t| t.zxid > cut);
+        while self.entries.front().is_some_and(|t| t.zxid <= cut) {
+            self.pop_committed();
+        }
         self.horizon = cut;
+    }
+
+    /// Drops the oldest committed entries while the committed entries hold
+    /// more than `max_bytes` of payload, advancing the horizon to the last
+    /// one dropped. Uncommitted entries are never dropped, whatever their
+    /// size.
+    pub fn compact_to_bytes(&mut self, max_bytes: usize) {
+        while self.committed_bytes > max_bytes {
+            self.horizon = self.pop_committed().zxid;
+        }
+    }
+
+    /// Removes the oldest entry, which the caller knows is committed.
+    fn pop_committed(&mut self) -> Txn {
+        debug_assert!(self.committed_len > 0, "only committed entries are compactable");
+        let txn = self.entries.pop_front().expect("a committed entry to drop");
+        self.committed_len -= 1;
+        self.committed_bytes -= txn.payload.len();
+        txn
     }
 
     /// Resets the log to an installed snapshot: all entries are dropped, the
@@ -156,6 +200,8 @@ impl TxnLog {
     /// reset the same way.
     pub fn reset_to_snapshot(&mut self, zxid: Zxid) {
         self.entries.clear();
+        self.committed_len = 0;
+        self.committed_bytes = 0;
         self.committed_up_to = zxid;
         self.horizon = zxid;
         if let Some(durable) = &mut self.durable {
@@ -176,35 +222,52 @@ impl TxnLog {
         self.committed_up_to
     }
 
-    /// All committed transactions in order.
+    /// All retained committed transactions in order.
     pub fn committed(&self) -> impl Iterator<Item = &Txn> {
-        self.entries.iter().filter(move |t| t.zxid <= self.committed_up_to)
+        self.entries.range(..self.committed_len)
     }
 
-    /// All transactions (committed or not) strictly newer than `after`.
+    /// Payload bytes held by the retained committed transactions — the
+    /// quantity [`TxnLog::compact_to_bytes`] bounds.
+    pub fn committed_bytes(&self) -> usize {
+        self.committed_bytes
+    }
+
+    /// Retained committed transactions strictly newer than `after`.
+    pub fn committed_after(&self, after: Zxid) -> Vec<Txn> {
+        let start = self.index_after(after).min(self.committed_len);
+        self.entries.range(start..self.committed_len).cloned().collect()
+    }
+
+    /// All retained transactions (committed or not) strictly newer than
+    /// `after`.
     pub fn entries_after(&self, after: Zxid) -> Vec<Txn> {
-        self.entries.iter().filter(|t| t.zxid > after).cloned().collect()
+        self.entries.range(self.index_after(after)..).cloned().collect()
+    }
+
+    /// Index of the first entry newer than `after`.
+    fn index_after(&self, after: Zxid) -> usize {
+        self.entries.partition_point(|t| t.zxid <= after)
     }
 
     /// Discards uncommitted entries from a stale epoch. A replica that
     /// rejoins after a new leader was elected must drop proposals that were
     /// never committed under the old epoch.
     pub fn truncate_uncommitted(&mut self) {
-        let committed = self.committed_up_to;
-        if self.entries.last().is_some_and(|t| t.zxid > committed) {
+        if self.entries.len() > self.committed_len {
             if let Some(durable) = &mut self.durable {
-                durable.truncate_after(committed);
+                durable.truncate_after(self.committed_up_to);
             }
+            self.entries.truncate(self.committed_len);
         }
-        self.entries.retain(|t| t.zxid <= committed);
     }
 
-    /// Number of logged entries.
+    /// Number of retained entries.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True if no entry has ever been appended.
+    /// True if the log retains no entry.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -215,7 +278,7 @@ mod tests {
     use super::*;
 
     fn txn(epoch: u32, counter: u32) -> Txn {
-        Txn { zxid: Zxid { epoch, counter }, payload: vec![counter as u8] }
+        Txn::new(Zxid { epoch, counter }, vec![counter as u8])
     }
 
     #[test]
@@ -292,10 +355,10 @@ mod tests {
         assert_eq!(log.last_committed(), Zxid { epoch: 1, counter: 1 });
 
         // The new leader's divergent history for the same slots arrives.
-        log.append(Txn { zxid: Zxid { epoch: 2, counter: 1 }, payload: b"new".to_vec() });
+        log.append(Txn::new(Zxid { epoch: 2, counter: 1 }, &b"new"[..]));
         let committed = log.commit_up_to(Zxid { epoch: 2, counter: 1 });
         assert_eq!(committed.len(), 1);
-        assert_eq!(committed[0].payload, b"new");
+        assert_eq!(&*committed[0].payload, b"new");
         // The truncated entries never resurface.
         assert_eq!(log.committed().count(), 2);
     }
@@ -460,6 +523,101 @@ mod tests {
         // The suffix after the snapshot appends and commits cleanly.
         log.append(txn(3, 51));
         assert_eq!(log.commit_up_to(Zxid { epoch: 3, counter: 51 }).len(), 1);
+    }
+
+    fn sized(counter: u32, bytes: usize) -> Txn {
+        Txn::new(Zxid { epoch: 1, counter }, vec![counter as u8; bytes])
+    }
+
+    #[test]
+    fn committed_bytes_track_commit_compaction_and_reset() {
+        let mut log = TxnLog::new();
+        for i in 1..=4 {
+            log.append(sized(i, 100));
+        }
+        assert_eq!(log.committed_bytes(), 0, "uncommitted entries are not counted");
+        log.commit_up_to(Zxid { epoch: 1, counter: 3 });
+        assert_eq!(log.committed_bytes(), 300);
+        log.compact_through(Zxid { epoch: 1, counter: 1 });
+        assert_eq!(log.committed_bytes(), 200);
+        log.reset_to_snapshot(Zxid { epoch: 2, counter: 1 });
+        assert_eq!(log.committed_bytes(), 0);
+    }
+
+    #[test]
+    fn byte_compaction_drops_the_oldest_committed_entries_down_to_the_budget() {
+        let mut log = TxnLog::new();
+        for i in 1..=10 {
+            log.append(sized(i, 100));
+        }
+        log.commit_up_to(Zxid { epoch: 1, counter: 8 });
+        log.compact_to_bytes(250);
+        assert_eq!(log.committed_bytes(), 200);
+        let kept: Vec<u32> = log.committed().map(|t| t.zxid.counter).collect();
+        assert_eq!(kept, vec![7, 8], "the newest committed entries survive");
+        assert_eq!(log.horizon(), Zxid { epoch: 1, counter: 6 });
+        assert_eq!(log.len(), 4, "the uncommitted tail is untouched");
+        // Within budget: nothing more is dropped.
+        log.compact_to_bytes(250);
+        assert_eq!(log.len(), 4);
+    }
+
+    #[test]
+    fn byte_compaction_never_drops_uncommitted_entries() {
+        let mut log = TxnLog::new();
+        for i in 1..=5 {
+            log.append(sized(i, 1000));
+        }
+        log.commit_up_to(Zxid { epoch: 1, counter: 2 });
+        log.compact_to_bytes(0);
+        assert_eq!(log.committed().count(), 0);
+        assert_eq!(log.horizon(), Zxid { epoch: 1, counter: 2 });
+        let tail: Vec<u32> = log.entries_after(Zxid::ZERO).iter().map(|t| t.zxid.counter).collect();
+        assert_eq!(tail, vec![3, 4, 5]);
+        // The tail still commits and is reported exactly once.
+        let newly = log.commit_up_to(Zxid { epoch: 1, counter: 5 });
+        assert_eq!(newly.iter().map(|t| t.zxid.counter).collect::<Vec<_>>(), vec![3, 4, 5]);
+        assert_eq!(log.committed_bytes(), 3000);
+    }
+
+    #[test]
+    fn last_logged_floors_at_the_byte_compaction_horizon() {
+        let mut log = TxnLog::new();
+        for i in 1..=3 {
+            log.append(sized(i, 64));
+        }
+        log.commit_up_to(Zxid { epoch: 1, counter: 3 });
+        log.compact_to_bytes(0);
+        assert!(log.is_empty());
+        assert_eq!(log.horizon(), Zxid { epoch: 1, counter: 3 });
+        assert_eq!(log.last_logged(), Zxid { epoch: 1, counter: 3 });
+        assert_eq!(log.last_committed(), Zxid { epoch: 1, counter: 3 });
+        // New proposals chain onto the floor.
+        log.append(sized(4, 64));
+        assert_eq!(log.commit_up_to(Zxid { epoch: 1, counter: 4 }).len(), 1);
+    }
+
+    #[test]
+    fn committed_after_serves_only_the_committed_suffix() {
+        let mut log = TxnLog::new();
+        for i in 1..=6 {
+            log.append(sized(i, 8));
+        }
+        log.commit_up_to(Zxid { epoch: 1, counter: 4 });
+        let counters = |txns: Vec<Txn>| txns.iter().map(|t| t.zxid.counter).collect::<Vec<_>>();
+        assert_eq!(counters(log.committed_after(Zxid { epoch: 1, counter: 2 })), vec![3, 4]);
+        assert!(log.committed_after(Zxid { epoch: 1, counter: 5 }).is_empty());
+        assert_eq!(counters(log.committed_after(Zxid::ZERO)), vec![1, 2, 3, 4]);
+        assert_eq!(counters(log.entries_after(Zxid { epoch: 1, counter: 4 })), vec![5, 6]);
+    }
+
+    #[test]
+    fn commit_shares_the_logged_payload_instead_of_copying_it() {
+        let mut log = TxnLog::new();
+        log.append(sized(1, 4096));
+        let newly = log.commit_up_to(Zxid { epoch: 1, counter: 1 });
+        let logged = log.committed().next().expect("the committed entry");
+        assert!(std::sync::Arc::ptr_eq(&newly[0].payload, &logged.payload));
     }
 
     /// Records every durable call for ordering assertions.

@@ -1,5 +1,7 @@
 //! Protocol vocabulary: identifiers, transactions and messages.
 
+use std::sync::Arc;
+
 /// Identifier of a replica participating in the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
@@ -70,8 +72,17 @@ impl std::fmt::Display for Zxid {
 pub struct Txn {
     /// The zxid assigned by the leader.
     pub zxid: Zxid,
-    /// Opaque command payload.
-    pub payload: Vec<u8>,
+    /// Opaque command payload, immutable and shared: the log entry, the
+    /// commit outbox, proposal broadcasts and sync frames all point at the
+    /// same allocation, so cloning a `Txn` never copies its bytes.
+    pub payload: Arc<[u8]>,
+}
+
+impl Txn {
+    /// A transaction carrying `payload` at `zxid`.
+    pub fn new(zxid: Zxid, payload: impl Into<Arc<[u8]>>) -> Self {
+        Txn { zxid, payload: payload.into() }
+    }
 }
 
 /// Messages exchanged between replicas.

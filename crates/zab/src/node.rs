@@ -1,6 +1,7 @@
 //! The per-replica ZAB state machine.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use crate::log::TxnLog;
 use crate::message::{NodeId, Txn, ZabMessage, Zxid};
@@ -175,11 +176,18 @@ impl ZabNode {
         self.log.reset_to_snapshot(zxid);
     }
 
-    /// Drops in-memory log entries covered by a snapshot at `zxid` (bounds
-    /// leader memory; the disk log is purged separately at segment
-    /// granularity).
+    /// Drops in-memory log entries covered by a snapshot at `zxid` (the
+    /// disk log is purged separately at segment granularity).
     pub fn compact_log_through(&mut self, zxid: Zxid) {
         self.log.compact_through(zxid);
+    }
+
+    /// Drops the oldest committed log entries while the committed entries
+    /// hold more than `max_bytes` of payload (see
+    /// [`TxnLog::compact_to_bytes`]). Peers behind the resulting horizon
+    /// need a snapshot, so only a driver that can ship one calls this.
+    pub fn compact_log_to_bytes(&mut self, max_bytes: usize) {
+        self.log.compact_to_bytes(max_bytes);
     }
 
     /// Forces buffered durable log writes to disk (group commit barrier).
@@ -194,7 +202,7 @@ impl ZabNode {
     ///
     /// Panics if called on a non-leader; the cluster wrapper routes proposals
     /// to the current leader.
-    pub fn propose(&mut self, payload: Vec<u8>, net: &dyn ZabTransport) -> Zxid {
+    pub fn propose(&mut self, payload: impl Into<Arc<[u8]>>, net: &dyn ZabTransport) -> Zxid {
         assert_eq!(self.role, Role::Leader, "only the leader proposes");
         let propose_start = trace::now_ns();
         self.last_proposed = if self.last_proposed.epoch == self.epoch {
@@ -203,7 +211,7 @@ impl ZabNode {
             Zxid { epoch: self.epoch, counter: 1 }
         };
         let prev = self.log.last_logged();
-        let txn = Txn { zxid: self.last_proposed, payload };
+        let txn = Txn::new(self.last_proposed, payload);
         self.log.append(txn.clone());
         // The leader's own log entry counts as its ack.
         self.pending_acks.entry(txn.zxid).or_default().insert(self.id);
@@ -367,13 +375,12 @@ impl ZabNode {
             // case and ships the snapshot itself (see `zkserver::ensemble`).
             return;
         }
-        let txns: Vec<Txn> =
-            self.log.committed().filter(|t| t.zxid > last_logged).cloned().collect();
-        send_sync(net, self.id, from, self.epoch, txns);
+        send_sync(net, self.id, from, self.epoch, self.log.committed_after(last_logged));
         let mut prev = self.log.last_committed();
         for txn in self.log.entries_after(prev) {
-            net.send(self.id, from, ZabMessage::Proposal { txn: txn.clone(), prev });
-            prev = txn.zxid;
+            let zxid = txn.zxid;
+            net.send(self.id, from, ZabMessage::Proposal { txn, prev });
+            prev = zxid;
         }
     }
 
@@ -507,7 +514,7 @@ mod tests {
         let committed = f2.take_committed();
         assert_eq!(committed.len(), 10);
         for (i, txn) in committed.iter().enumerate() {
-            assert_eq!(txn.payload, vec![i as u8]);
+            assert_eq!(*txn.payload, [i as u8]);
             assert_eq!(txn.zxid.counter, i as u32 + 1);
         }
     }
@@ -538,7 +545,7 @@ mod tests {
     fn follower_ignores_stale_epoch_proposals() {
         let (net, _leader, mut f2, _f3) = three_nodes();
         f2.become_follower(2, NodeId(3));
-        let stale = Txn { zxid: Zxid { epoch: 1, counter: 5 }, payload: vec![] };
+        let stale = Txn::new(Zxid { epoch: 1, counter: 5 }, vec![]);
         f2.handle(
             Envelope {
                 from: NodeId(1),
@@ -588,7 +595,7 @@ mod tests {
         pump(&net, &mut [&mut leader, &mut f2, &mut f3]);
 
         assert_eq!(f2.log().last_committed(), leader.log().last_committed());
-        let payloads: Vec<Vec<u8>> = f2.log().committed().map(|t| t.payload.clone()).collect();
+        let payloads: Vec<Vec<u8>> = f2.log().committed().map(|t| t.payload.to_vec()).collect();
         assert_eq!(payloads, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
     }
 
@@ -635,7 +642,7 @@ mod tests {
         assert_eq!(leader.log().last_committed(), Zxid { epoch: 1, counter: 3 });
         for node in [&f2, &f3] {
             let payloads: Vec<Vec<u8>> =
-                node.log().committed().map(|t| t.payload.clone()).collect();
+                node.log().committed().map(|t| t.payload.to_vec()).collect();
             assert_eq!(payloads, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
         }
     }
@@ -652,7 +659,7 @@ mod tests {
         let mut node = ZabNode::new(NodeId(2), 3);
         node.become_follower(1, NodeId(1));
         for i in 1..=3 {
-            node.log.append(Txn { zxid: Zxid { epoch: 1, counter: i }, payload: vec![i as u8] });
+            node.log.append(Txn::new(Zxid { epoch: 1, counter: i }, vec![i as u8]));
         }
         node.log.commit_up_to(Zxid { epoch: 1, counter: 2 });
         node.take_committed();
@@ -665,8 +672,8 @@ mod tests {
                 message: ZabMessage::NewLeaderSync {
                     epoch: 2,
                     txns: vec![
-                        Txn { zxid: Zxid { epoch: 1, counter: 4 }, payload: vec![4] },
-                        Txn { zxid: Zxid { epoch: 1, counter: 5 }, payload: vec![5] },
+                        Txn::new(Zxid { epoch: 1, counter: 4 }, vec![4]),
+                        Txn::new(Zxid { epoch: 1, counter: 5 }, vec![5]),
                     ],
                 },
             },
@@ -690,17 +697,15 @@ mod tests {
                 message: ZabMessage::NewLeaderSync {
                     epoch: 2,
                     txns: (3..=5)
-                        .map(|i| Txn {
-                            zxid: Zxid { epoch: 1, counter: i },
-                            payload: vec![i as u8],
-                        })
+                        .map(|i| Txn::new(Zxid { epoch: 1, counter: i }, vec![i as u8]))
                         .collect(),
                 },
             },
             &net,
         );
         assert_eq!(node.log().last_committed(), Zxid { epoch: 1, counter: 5 });
-        let payloads: Vec<Vec<u8>> = node.take_committed().into_iter().map(|t| t.payload).collect();
+        let payloads: Vec<Vec<u8>> =
+            node.take_committed().into_iter().map(|t| t.payload.to_vec()).collect();
         assert_eq!(payloads, vec![vec![3], vec![4], vec![5]]);
     }
 
@@ -708,7 +713,7 @@ mod tests {
     fn become_leader_commits_logged_entries() {
         let mut node = ZabNode::new(NodeId(2), 3);
         node.become_follower(1, NodeId(1));
-        node.log.append(Txn { zxid: Zxid { epoch: 1, counter: 1 }, payload: b"x".to_vec() });
+        node.log.append(Txn::new(Zxid { epoch: 1, counter: 1 }, &b"x"[..]));
         node.become_leader(2);
         assert_eq!(node.take_committed().len(), 1);
         assert_eq!(node.role(), Role::Leader);

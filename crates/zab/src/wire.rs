@@ -55,8 +55,7 @@ fn write_txn(out: &mut OutputArchive, txn: &Txn) {
 
 fn read_txn(input: &mut InputArchive<'_>) -> Result<Txn, JuteError> {
     let zxid = read_zxid(input, "txn zxid")?;
-    let payload = input.read_buffer("txn payload")?;
-    Ok(Txn { zxid, payload })
+    Ok(Txn::new(zxid, input.read_buffer_slice("txn payload")?))
 }
 
 /// Serializes an envelope into a frame body (sender, tag, fields).
@@ -227,17 +226,14 @@ mod tests {
     fn every_variant_roundtrips() {
         let zxid = Zxid { epoch: 7, counter: 123_456 };
         roundtrip(ZabMessage::Proposal {
-            txn: Txn { zxid, payload: b"create /a".to_vec() },
+            txn: Txn::new(zxid, &b"create /a"[..]),
             prev: Zxid { epoch: 7, counter: 123_455 },
         });
         roundtrip(ZabMessage::Ack { zxid, from: NodeId(2) });
         roundtrip(ZabMessage::Commit { zxid });
         roundtrip(ZabMessage::NewLeaderSync {
             epoch: 8,
-            txns: vec![
-                Txn { zxid, payload: vec![] },
-                Txn { zxid: zxid.next(), payload: vec![0xff; 100] },
-            ],
+            txns: vec![Txn::new(zxid, vec![]), Txn::new(zxid.next(), vec![0xff; 100])],
         });
         roundtrip(ZabMessage::SyncAck { from: NodeId(1), epoch: 8 });
         roundtrip(ZabMessage::Heartbeat { epoch: u32::MAX });

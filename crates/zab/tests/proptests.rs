@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use zab::message::{Txn, ZabMessage};
 use zab::wire::{decode_envelope, encode_envelope};
-use zab::{Envelope, NodeId, ZabCluster, Zxid};
+use zab::{Envelope, NodeId, TxnLog, ZabCluster, Zxid};
 
 /// A step of a randomly generated cluster schedule.
 #[derive(Debug, Clone)]
@@ -65,7 +65,7 @@ fn arb_zxid() -> impl Strategy<Value = Zxid> {
 
 fn arb_txn() -> impl Strategy<Value = Txn> {
     (arb_zxid(), proptest::collection::vec(any::<u8>(), 0..256))
-        .prop_map(|(zxid, payload)| Txn { zxid, payload })
+        .prop_map(|(zxid, payload)| Txn::new(zxid, payload))
 }
 
 /// Every [`ZabMessage`] variant, with arbitrary field values.
@@ -104,6 +104,28 @@ fn arb_message() -> impl Strategy<Value = ZabMessage> {
             .prop_map(|(epoch, snapshot_zxid, seq, last, bytes)| {
                 ZabMessage::SnapshotChunk { epoch, snapshot_zxid, seq, last, bytes }
             }),
+    ]
+}
+
+/// One mutation of a [`TxnLog`] in the log model test.
+#[derive(Debug, Clone)]
+enum LogOp {
+    /// Append the next proposal with a payload of this many bytes.
+    Append(usize),
+    /// Commit up to the entry this many places past the watermark.
+    Commit(u32),
+    /// Compact committed entries down to this many payload bytes.
+    Compact(usize),
+    /// Drop the uncommitted tail (become-follower truncation).
+    Truncate,
+}
+
+fn arb_log_op() -> impl Strategy<Value = LogOp> {
+    prop_oneof![
+        4 => (0usize..300).prop_map(LogOp::Append),
+        2 => (0u32..6).prop_map(LogOp::Commit),
+        2 => (0usize..800).prop_map(LogOp::Compact),
+        1 => Just(LogOp::Truncate),
     ]
 }
 
@@ -208,6 +230,70 @@ proptest! {
         let log: Vec<u64> = cluster.node(leader).log().committed().map(|t| t.zxid.as_u64()).collect();
         for zxid in acknowledged {
             prop_assert!(log.contains(&zxid.as_u64()), "leader lost {zxid}");
+        }
+    }
+
+    /// `TxnLog` against a plain model: every commit returns exactly the
+    /// newly committed entries in zxid order, byte compaction leaves the
+    /// committed entries within budget and never drops an uncommitted one,
+    /// and the credential floors at the horizon.
+    #[test]
+    fn txn_log_matches_a_plain_model_under_commit_and_compaction(
+        ops in proptest::collection::vec(arb_log_op(), 1..80),
+    ) {
+        let mut log = TxnLog::new();
+        // Model: every txn ever appended and not truncated, plus the
+        // watermark; compaction only hides a prefix of it.
+        let mut model: Vec<(Zxid, usize)> = Vec::new();
+        let mut watermark = Zxid::ZERO;
+        let mut next = 1u32;
+        for op in ops {
+            match op {
+                LogOp::Append(bytes) => {
+                    let zxid = Zxid { epoch: 1, counter: next };
+                    next += 1;
+                    log.append(Txn::new(zxid, vec![0u8; bytes]));
+                    model.push((zxid, bytes));
+                }
+                LogOp::Commit(ahead) => {
+                    let pending: Vec<Zxid> =
+                        model.iter().map(|e| e.0).filter(|z| *z > watermark).collect();
+                    let Some(&target) = pending.get(ahead as usize).or(pending.last()) else {
+                        continue;
+                    };
+                    let newly: Vec<Zxid> = log.commit_up_to(target).iter().map(|t| t.zxid).collect();
+                    let expected: Vec<Zxid> =
+                        pending.into_iter().filter(|z| *z <= target).collect();
+                    prop_assert_eq!(newly, expected);
+                    watermark = target;
+                }
+                LogOp::Compact(budget) => {
+                    log.compact_to_bytes(budget);
+                    prop_assert!(log.committed_bytes() <= budget);
+                }
+                LogOp::Truncate => {
+                    log.truncate_uncommitted();
+                    model.retain(|e| e.0 <= watermark);
+                    // Truncated slots are proposed again by a new leader.
+                    next = watermark.counter.max(log.horizon().counter) + 1;
+                }
+            }
+            // Retained entries are a suffix of the model; everything the
+            // compaction dropped was committed and at or below the horizon.
+            let retained: Vec<Zxid> = log.entries_after(Zxid::ZERO).iter().map(|t| t.zxid).collect();
+            let suffix: Vec<Zxid> =
+                model.iter().map(|e| e.0).filter(|z| *z > log.horizon()).collect();
+            prop_assert_eq!(&retained, &suffix);
+            prop_assert!(log.horizon() <= watermark);
+            prop_assert_eq!(log.last_committed(), watermark);
+            let committed_bytes: usize = model
+                .iter()
+                .filter(|e| e.0 > log.horizon() && e.0 <= watermark)
+                .map(|e| e.1)
+                .sum();
+            prop_assert_eq!(log.committed_bytes(), committed_bytes);
+            let tip = model.last().map_or(Zxid::ZERO, |e| e.0);
+            prop_assert_eq!(log.last_logged(), tip.max(log.horizon()));
         }
     }
 }

@@ -89,19 +89,43 @@ impl Sha256 {
 
     /// Consumes the hasher and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.length.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-            // `update` increments length, undo that for padding bytes below.
-        }
-        // The two `update` calls above also advanced `length`; the bit length
-        // captured before padding is the one that must be encoded.
+        // Padding (FIPS 180-4 §5.1.1), written straight into the last
+        // block: 0x80, zeros, then the 64-bit big-endian message length in
+        // bits. When fewer than 9 bytes are free the length spills into a
+        // second, otherwise all-zero block.
         let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[self.buffered] = 0x80;
+        block[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            self.compress(&block);
+            block = [0; 64];
+        }
+        block[56..].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
         self.compress(&block);
+        self.output()
+    }
 
+    /// Textbook one-shot SHA-256: pads the whole message into a fresh
+    /// buffer and compresses it block by block. Retained as the reference
+    /// oracle the property tests check the incremental hasher against.
+    pub fn digest_reference(data: &[u8]) -> [u8; 32] {
+        let mut message = data.to_vec();
+        message.push(0x80);
+        while message.len() % 64 != 56 {
+            message.push(0);
+        }
+        message.extend_from_slice(&((data.len() as u64).wrapping_mul(8)).to_be_bytes());
+        let mut h = Sha256::new();
+        for chunk in message.chunks_exact(64) {
+            let mut block = [0u8; 64];
+            block.copy_from_slice(chunk);
+            h.compress(&block);
+        }
+        h.output()
+    }
+
+    /// The current chaining state as a big-endian digest.
+    fn output(&self) -> [u8; 32] {
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -218,6 +242,18 @@ mod tests {
         h.update(&data[100..500]);
         h.update(&data[500..]);
         assert_eq!(h.finalize(), Sha256::digest(&data));
+    }
+
+    #[test]
+    fn reference_matches_nist_vectors() {
+        assert_eq!(
+            hex(&Sha256::digest_reference(b"abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        assert_eq!(
+            hex(&Sha256::digest_reference(b"")),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        );
     }
 
     #[test]

@@ -248,6 +248,27 @@ proptest! {
         prop_assert_eq!(hasher.finalize(), Sha256::digest(&data));
     }
 
+    // `finalize` writes the padding straight into the block buffer; the
+    // textbook reference pads a copy of the whole message. Lengths cover
+    // every residue mod 64, so both the one- and two-block padding paths
+    // (and the 55/56-byte boundary) are hit.
+    #[test]
+    fn sha256_finalize_matches_the_one_shot_reference(
+        data in proptest::collection::vec(any::<u8>(), 0..300),
+        splits in proptest::collection::vec(any::<prop::sample::Index>(), 0..4),
+    ) {
+        let mut cuts: Vec<usize> = splits.iter().map(|s| s.index(data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut hasher = Sha256::new();
+        let mut from = 0;
+        for cut in cuts {
+            hasher.update(&data[from..cut]);
+            from = cut;
+        }
+        hasher.update(&data[from..]);
+        prop_assert_eq!(hasher.finalize(), Sha256::digest_reference(&data));
+    }
+
     #[test]
     fn hmac_verifies_own_output(
         key in proptest::collection::vec(any::<u8>(), 0..100),

@@ -55,7 +55,7 @@ use jute::records::{DeleteRequest, ErrorCode};
 use jute::{InputArchive, OutputArchive, Request, Response};
 use trace::{Stage, TraceContext};
 use zab::tcp::TcpNetwork;
-use zab::{Envelope, NodeId, Role, Txn, ZabMessage, ZabNode, ZabTransport, Zxid};
+use zab::{Envelope, NodeId, Role, ZabMessage, ZabNode, ZabTransport, Zxid};
 
 use crate::error::ZkError;
 use crate::metrics::ServerMetrics;
@@ -63,6 +63,13 @@ use crate::net::{AdminInfo, NetConfig, WriteHandler, ZkTcpServer};
 use crate::ops::WriteTxn;
 use crate::persist::{self, ReplicaPersistence};
 use crate::server::ZkReplica;
+
+/// Payload bytes of committed transactions a member keeps in its in-memory
+/// replication log. After every apply, the oldest committed entries beyond
+/// this budget are dropped; a peer that falls behind them is brought up to
+/// date with a shipped snapshot of the live tree instead of a log suffix.
+/// Durable members also compact at each snapshot, whichever cuts deeper.
+pub const LOG_RETAINED_BYTES: usize = 1 << 20;
 
 /// Payload bound of one [`ZabMessage::SnapshotChunk`] frame; comfortably
 /// below the transport's 16 MiB frame cap even with framing overhead.
@@ -455,7 +462,7 @@ impl EnsembleCore {
         } else {
             since
         };
-        let txns: Vec<Txn> = log.committed().filter(|t| t.zxid > sync_from).cloned().collect();
+        let txns = log.committed_after(sync_from);
         self.sync_txns_shipped.fetch_add(txns.len() as u64, Ordering::Relaxed);
         self.metrics.zab_sync_txns_shipped.add(txns.len() as u64);
         zab::send_sync(net, self.id, peer, epoch, txns);
@@ -534,8 +541,8 @@ impl EnsembleCore {
 
     /// Snapshots the replica and truncates the logs behind it once the
     /// configured number of transactions has been applied since the last
-    /// snapshot — this is what bounds leader memory and keeps crash-rejoin
-    /// cheap.
+    /// snapshot — this is what bounds the disk log and keeps crash-rejoin
+    /// cheap. (The in-memory log is bounded by [`LOG_RETAINED_BYTES`].)
     fn maybe_snapshot(&self, state: &mut ProtocolState, applied: u64) {
         let Some(persistence) = &self.persistence else { return };
         if !persistence.note_applied(applied) {
@@ -773,11 +780,14 @@ impl EnsembleCore {
         self.refresh_health(&state, now);
     }
 
-    /// Refreshes the epoch/role gauges and the readiness probe from the
+    /// Refreshes the epoch/role/log gauges and the readiness probe from the
     /// protocol state. Runs on every driver tick, so a probe or scrape is
     /// never more than one poll interval stale.
     fn refresh_health(&self, state: &ProtocolState, now: Instant) {
         self.metrics.zab_epoch.set(i64::from(state.node.epoch()));
+        let log = state.node.log();
+        self.metrics.zab_log_entries.set(log.len() as i64);
+        self.metrics.zab_log_retained_bytes.set(log.committed_bytes() as i64);
         let role = state.node.role();
         self.metrics.zab_role.set(match role {
             Role::Electing => 0,
@@ -804,9 +814,11 @@ impl EnsembleCore {
     }
 
     /// Applies newly committed transactions to the local replica in zxid
-    /// order and answers the waiting client requests that originated here.
-    /// Once enough transactions accumulate since the last snapshot, the
-    /// replica state is snapshotted and the logs truncate behind it.
+    /// order and answers the waiting client requests that originated here,
+    /// then trims the in-memory log to [`LOG_RETAINED_BYTES`]. On durable
+    /// members, once enough transactions accumulate since the last
+    /// snapshot, the replica state is snapshotted and the logs truncate
+    /// behind it.
     fn apply_committed(&self, state: &mut ProtocolState) {
         let committed = state.node.take_committed();
         let applied = committed.len() as u64;
@@ -835,6 +847,9 @@ impl EnsembleCore {
         }
         if applied > 0 {
             self.metrics.zab_commits.add(applied);
+            // Everything committed is applied by now, so the live tree
+            // covers every entry this drops.
+            state.node.compact_log_to_bytes(LOG_RETAINED_BYTES);
             self.maybe_snapshot(state, applied);
         }
     }

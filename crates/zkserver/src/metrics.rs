@@ -105,6 +105,10 @@ pub struct ServerMetrics {
     pub zab_epoch: Gauge,
     /// Current role: 0 = electing, 1 = follower, 2 = leader.
     pub zab_role: Gauge,
+    /// Entries (committed or not) held in the in-memory replication log.
+    pub zab_log_entries: Gauge,
+    /// Payload bytes of the committed entries the replication log retains.
+    pub zab_log_retained_bytes: Gauge,
     /// Snapshots shipped to lagging peers by this member as leader.
     pub zab_snapshots_shipped: Counter,
     /// Log transactions shipped in sync responses by this member as leader.
@@ -193,6 +197,14 @@ impl ServerMetrics {
             zab_epoch: registry.gauge("zk_zab_epoch", "Current ZAB epoch."),
             zab_role: registry
                 .gauge("zk_zab_role", "Current role: 0 = electing, 1 = follower, 2 = leader."),
+            zab_log_entries: registry.gauge(
+                "zk_zab_log_entries",
+                "Entries (committed or not) held in the in-memory replication log.",
+            ),
+            zab_log_retained_bytes: registry.gauge(
+                "zk_zab_log_retained_bytes",
+                "Payload bytes of the committed entries the in-memory replication log retains.",
+            ),
             zab_snapshots_shipped: registry.counter(
                 "zk_zab_snapshots_shipped_total",
                 "State snapshots shipped to lagging peers by this member as leader.",

@@ -593,10 +593,7 @@ mod tests {
 
     #[test]
     fn chained_suffix_rejects_history_disconnected_from_the_snapshot() {
-        let txn = |epoch: u32, counter: u32| Txn {
-            zxid: Zxid { epoch, counter },
-            payload: vec![counter as u8],
-        };
+        let txn = |epoch: u32, counter: u32| Txn::new(Zxid { epoch, counter }, vec![counter as u8]);
         let horizon = Zxid { epoch: 1, counter: 100 };
         // Contiguous suffix (with an epoch boundary) survives whole.
         let good = vec![txn(1, 101), txn(1, 102), txn(2, 1), txn(2, 2)];
@@ -627,7 +624,7 @@ mod tests {
         let mut log = TxnLog::new();
         log.attach_durable(persistence.durable_sink());
         for i in 1..=8u32 {
-            log.append(Txn { zxid: Zxid { epoch: 1, counter: i }, payload: vec![i as u8; 10] });
+            log.append(Txn::new(Zxid { epoch: 1, counter: i }, vec![i as u8; 10]));
         }
         log.commit_up_to(Zxid { epoch: 1, counter: 6 });
         log.sync();
@@ -669,7 +666,7 @@ mod tests {
                 request_bytes: ZkReplica::serialize_request(0, &request),
             };
             let zxid = Zxid { epoch: 1, counter: i };
-            log.append(Txn { zxid, payload: vec![0u8; 100] });
+            log.append(Txn::new(zxid, vec![0u8; 100]));
             replica.apply_txn(zxid.as_u64() as i64, &write);
         }
         log.commit_up_to(Zxid { epoch: 1, counter: 7 });

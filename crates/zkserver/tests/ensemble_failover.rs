@@ -1,14 +1,18 @@
 //! Networked ensemble end-to-end tests: 3 replicas over real TCP, writes
 //! forwarded follower→leader, leader crash with election and client
-//! reconnect, replica convergence. CI runs this file in the `ensemble-e2e`
-//! job (plain leg of the matrix).
+//! reconnect, replica convergence, and the byte bound on the in-memory
+//! replication log. CI runs this file in the `ensemble-e2e` job (plain leg
+//! of the matrix).
 
+use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use jute::records::CreateMode;
+use jute::records::{CreateMode, Stat};
+use zab::NodeId;
 use zkserver::client::ZkTcpClient;
-use zkserver::ensemble::{EnsembleConfig, ZkEnsembleServer};
+use zkserver::ensemble::{EnsembleConfig, ZkEnsembleServer, LOG_RETAINED_BYTES};
 use zkserver::net::PlainCredentials;
 use zkserver::server::DEFAULT_SESSION_TIMEOUT_MS;
 use zkserver::watch::WatchEventKind;
@@ -337,4 +341,127 @@ fn quorum_loss_yields_a_typed_failure_not_a_hang() {
     )
     .expect("connect to the surviving leader");
     reader.get_data("/while-healthy", false).expect("reads survive quorum loss");
+}
+
+/// Payload of one bulk write in the log-bound tests: 32 of them fill the
+/// budget.
+const BULK_BYTES: usize = 32 * 1024;
+
+/// Reads one gauge the way an operator's scrape does.
+fn gauge(server: &ZkEnsembleServer, name: &str) -> f64 {
+    server
+        .metrics()
+        .registry()
+        .flatten()
+        .into_iter()
+        .find_map(|(key, value)| (key == name).then_some(value))
+        .unwrap_or_else(|| panic!("{name} is exported"))
+}
+
+/// Every path with its payload and stat: byte-for-byte tree identity.
+fn fingerprint(server: &ZkEnsembleServer) -> Vec<(String, Vec<u8>, Stat)> {
+    let replica = server.replica();
+    let tree = replica.tree();
+    tree.nodes_sorted()
+        .into_iter()
+        .map(|(path, node)| (path.to_string(), node.data().to_vec(), *node.stat()))
+        .collect()
+}
+
+#[test]
+fn memory_only_follower_behind_the_log_horizon_rejoins_by_snapshot() {
+    let mut servers: Vec<Option<ZkEnsembleServer>> =
+        start_ensemble(3).into_iter().map(Some).collect();
+    let peer_addrs: HashMap<NodeId, SocketAddr> =
+        servers.iter().flatten().map(|s| (s.id(), s.peer_addr())).collect();
+    let leader = servers[0].take().expect("member 1");
+    assert!(leader.is_leader());
+    let mut client = connect(&leader);
+    client.create("/bulk", vec![], CreateMode::Persistent).unwrap();
+    let follower = servers[2].take().expect("member 3");
+    wait_until("follower sees /bulk", || follower.replica().tree().contains("/bulk"));
+    follower.shutdown();
+
+    // Twice the budget lands while the follower is down, so the leader's
+    // log no longer reaches back to the follower's tip.
+    for i in 0..64u8 {
+        client
+            .create(&format!("/bulk/n-{i:02}"), vec![i; BULK_BYTES], CreateMode::Persistent)
+            .unwrap();
+    }
+    wait_until("leader log gauges refresh", || gauge(&leader, "zk_zab_log_entries") < 64.0);
+    assert!(gauge(&leader, "zk_zab_log_retained_bytes") <= LOG_RETAINED_BYTES as f64);
+
+    // Restart the follower empty (memory-only: nothing to recover) on its
+    // old peer address.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let follower = loop {
+        match ZkEnsembleServer::start(
+            NodeId(3),
+            peer_addrs.clone(),
+            "127.0.0.1:0",
+            Arc::new(ZkReplica::new(3)),
+            test_config(),
+        ) {
+            Ok(server) => break server,
+            Err(err) => {
+                assert!(Instant::now() < deadline, "restart never bound: {err}");
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
+    };
+    // Keep writing: the first proposal that reaches the restarted member
+    // does not chain onto its empty log, and its resync request lands below
+    // the leader's horizon, so it is answered with the tree. (Frames sent
+    // while the leader's link to it is still re-dialling are dropped, so a
+    // single write might never reach it.)
+    let rejoin_deadline = Instant::now() + Duration::from_secs(10);
+    let mut after = 0;
+    while follower.sync_stats().snapshots_installed == 0 {
+        assert!(Instant::now() < rejoin_deadline, "the follower never installed a snapshot");
+        client.create(&format!("/bulk/after-{after}"), vec![], CreateMode::Persistent).unwrap();
+        after += 1;
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert!(leader.sync_stats().snapshots_shipped >= 1);
+
+    let middle = servers[1].take().expect("member 2");
+    wait_until("zxid convergence", || {
+        let zxid = leader.last_applied_zxid();
+        middle.last_applied_zxid() == zxid && follower.last_applied_zxid() == zxid
+    });
+    let reference = fingerprint(&leader);
+    assert_eq!(reference.len(), 2 + 64 + after, "root, /bulk and every write under it");
+    assert!(fingerprint(&middle) == reference, "member 2 diverged");
+    assert!(fingerprint(&follower) == reference, "the rejoined member diverged");
+    client.close();
+}
+
+#[test]
+fn memory_only_member_log_stays_within_its_byte_budget() {
+    let servers = start_ensemble(1);
+    let member = &servers[0];
+    let mut client = connect(member);
+    client.create("/bulk", vec![], CreateMode::Persistent).unwrap();
+    // Four times the budget, sampling the scraped gauges as it lands.
+    let mut peak = 0.0f64;
+    for i in 0..128u8 {
+        client
+            .create(&format!("/bulk/n-{i:03}"), vec![i; BULK_BYTES], CreateMode::Persistent)
+            .unwrap();
+        peak = peak.max(gauge(member, "zk_zab_log_retained_bytes"));
+    }
+    wait_until("log gauges refresh", || {
+        gauge(member, "zk_zab_log_retained_bytes") >= (LOG_RETAINED_BYTES - 2 * BULK_BYTES) as f64
+    });
+    let retained = gauge(member, "zk_zab_log_retained_bytes");
+    let entries = gauge(member, "zk_zab_log_entries");
+    assert!(
+        peak.max(retained) <= LOG_RETAINED_BYTES as f64,
+        "retained {retained} (peak {peak}) bytes"
+    );
+    assert!(entries < 40.0, "{entries} log entries retained for 129 writes");
+    // Compaction dropped only log entries, never tree state.
+    assert_eq!(client.get_children("/bulk", false).unwrap().len(), 128);
+    client.close();
 }

@@ -197,6 +197,19 @@ fn bench_crypto_fastpath(c: &mut Criterion) {
         );
     }
 
+    // SHA-256 pinned to the portable block function, so a fallback
+    // regression shows even on hosts whose default (`zkcrypto/sha256/*`)
+    // is the SHA-NI kernel.
+    let payload = vec![0xa5u8; 1024];
+    group.throughput(Throughput::Bytes(1024));
+    group.bench_with_input(BenchmarkId::new("sha256_portable", 1024), &payload, |b, payload| {
+        b.iter(|| {
+            let mut hasher = Sha256::portable();
+            hasher.update(payload);
+            hasher.finalize()
+        })
+    });
+
     group.finish();
 }
 

@@ -51,6 +51,11 @@ struct PendingRequest {
     /// Plaintext path of the request, needed to verify the payload binding
     /// and to decrypt sequential CREATE responses.
     plaintext_path: Option<String>,
+    /// `(ciphertext, plaintext)` of each create the request carries,
+    /// standalone or inside a `multi`, in request order. A create result
+    /// naming exactly that canonical ciphertext is answered from here
+    /// instead of decrypting the path this enclave has just encrypted.
+    created: Vec<(String, String)>,
 }
 
 /// The per-client entry enclave.
@@ -188,6 +193,7 @@ impl EntryEnclave {
             xid: header.xid,
             op: header.op,
             plaintext_path,
+            created: created_paths(rewritten, request),
         });
         Ok(())
     }
@@ -372,7 +378,7 @@ impl EntryEnclave {
             return Err(SkError::FifoViolation);
         }
 
-        let rewritten = self.decrypt_response_fields(&pending, response, &model)?;
+        let rewritten = self.decrypt_response_fields(pending, response, &model)?;
         let mut plain = rewritten.to_bytes(&ReplyHeader {
             xid: header.xid,
             zxid: header.zxid,
@@ -436,12 +442,32 @@ impl EntryEnclave {
         Ok(())
     }
 
+    /// The plaintext of a path a create result names: the recorded
+    /// plaintext when the store returned exactly the ciphertext this enclave
+    /// produced for that create, else a decryption (a sequence-merged name,
+    /// or anything the store altered).
+    fn created_plaintext(
+        &self,
+        path: String,
+        record: Option<(String, String)>,
+        model: &CostModel,
+    ) -> Result<String, SkError> {
+        match record {
+            Some((ciphertext, plaintext)) if ciphertext == path => Ok(plaintext),
+            _ => {
+                self.enclave.charge_ns(model.aes_gcm_ns(path.len()) + model.base64_ns(path.len()));
+                self.path_cipher.decrypt_path(&path)
+            }
+        }
+    }
+
     fn decrypt_response_fields(
         &self,
-        pending: &PendingRequest,
+        pending: PendingRequest,
         response: Response,
         model: &CostModel,
     ) -> Result<Response, SkError> {
+        let mut created = pending.created.into_iter();
         Ok(match response {
             Response::GetData(get) => {
                 let path = pending.plaintext_path.as_deref().ok_or_else(|| SkError::Malformed {
@@ -453,13 +479,9 @@ impl EntryEnclave {
                 stat.data_length = payload.len() as i32;
                 Response::GetData(GetDataResponse { data: payload, stat })
             }
-            Response::Create(create) => {
-                self.enclave.charge_ns(
-                    model.aes_gcm_ns(create.path.len()) + model.base64_ns(create.path.len()),
-                );
-                let plaintext = self.path_cipher.decrypt_path(&create.path)?;
-                Response::Create(CreateResponse { path: plaintext })
-            }
+            Response::Create(create) => Response::Create(CreateResponse {
+                path: self.created_plaintext(create.path, created.next(), model)?,
+            }),
             Response::GetChildren(ls) => {
                 let mut children = Vec::with_capacity(ls.children.len());
                 for child in &ls.children {
@@ -474,18 +496,14 @@ impl EntryEnclave {
                 // Only CREATE results carry storage ciphertext (the final,
                 // possibly sequence-merged path); everything else — stats,
                 // acks, per-operation error codes of an abort — passes
-                // through unchanged.
+                // through unchanged. A committed multi answers its k-th
+                // create with its k-th CREATE result.
                 let mut results = Vec::with_capacity(multi.results.len());
                 for result in multi.results {
                     results.push(match result {
-                        jute::multi::OpResult::Create { path } => {
-                            self.enclave.charge_ns(
-                                model.aes_gcm_ns(path.len()) + model.base64_ns(path.len()),
-                            );
-                            jute::multi::OpResult::Create {
-                                path: self.path_cipher.decrypt_path(&path)?,
-                            }
-                        }
+                        jute::multi::OpResult::Create { path } => jute::multi::OpResult::Create {
+                            path: self.created_plaintext(path, created.next(), model)?,
+                        },
                         other => other,
                     });
                 }
@@ -493,6 +511,27 @@ impl EntryEnclave {
             }
             other => other,
         })
+    }
+}
+
+/// The `(ciphertext, plaintext)` path of every create in `request`, paired
+/// with its storage rewrite `rewritten`, in request order. Both are consumed:
+/// the paths move out once the rewrite is serialized, without copies.
+fn created_paths(rewritten: Request, request: Request) -> Vec<(String, String)> {
+    match (rewritten, request) {
+        (Request::Create(sealed), Request::Create(plain)) => vec![(sealed.path, plain.path)],
+        (Request::Multi(sealed), Request::Multi(plain)) => sealed
+            .ops
+            .into_iter()
+            .zip(plain.ops)
+            .filter_map(|ops| match ops {
+                (jute::multi::Op::Create(sealed), jute::multi::Op::Create(plain)) => {
+                    Some((sealed.path, plain.path))
+                }
+                _ => None,
+            })
+            .collect(),
+        _ => Vec::new(),
     }
 }
 
@@ -699,6 +738,137 @@ mod tests {
                 assert_eq!(multi.results[1], OpResult::Error(ErrorCode::RuntimeInconsistency));
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// An entry enclave sharing `cache`, with its client's transport.
+    fn cached_enclave(cache: &Arc<PathCipherCache>) -> (Epc, EntryEnclave, TransportChannel) {
+        let epc = Epc::new();
+        let storage = StorageKey::derive_from_label("cluster");
+        let session = SessionKey::derive_from_label("client-1");
+        let entry = EntryEnclave::with_path_cache(
+            &epc,
+            &storage,
+            &session,
+            CostModel::default(),
+            Arc::clone(cache),
+        )
+        .unwrap();
+        (epc, entry, TransportChannel::client_side(&session))
+    }
+
+    /// Sends `request` through the enclave and returns the rewritten one.
+    fn rewrite(
+        entry: &EntryEnclave,
+        client: &TransportChannel,
+        xid: i32,
+        request: &Request,
+    ) -> Request {
+        let mut buffer = wire_request(client, xid, request);
+        entry.process_request(&mut buffer).unwrap();
+        Request::from_bytes(&buffer).unwrap().1
+    }
+
+    /// Answers `xid` with `response` through the enclave; what the client reads.
+    fn answer(
+        entry: &EntryEnclave,
+        client: &TransportChannel,
+        xid: i32,
+        op: OpCode,
+        response: &Response,
+    ) -> Result<Response, SkError> {
+        let mut buffer = response.to_bytes(&ReplyHeader { xid, zxid: 5, err: ErrorCode::Ok });
+        entry.process_response(&mut buffer)?;
+        Ok(Response::from_bytes(&client.open(&buffer).unwrap(), op).unwrap().1)
+    }
+
+    fn create(path: &str, mode: CreateMode) -> CreateRequest {
+        CreateRequest { path: path.into(), data: b"v".to_vec(), mode }
+    }
+
+    #[test]
+    fn own_create_results_are_answered_without_decrypting() {
+        use jute::multi::{MultiRequest, MultiResponse, Op, OpResult};
+
+        let cache = Arc::new(PathCipherCache::default());
+        let (_epc, entry, client) = cached_enclave(&cache);
+        let request = Request::Create(create("/app/a", CreateMode::Persistent));
+        let Request::Create(sealed) = rewrite(&entry, &client, 1, &request) else { panic!() };
+        let lookups = cache.hits() + cache.misses();
+        let response = Response::Create(CreateResponse { path: sealed.path });
+        let plain = answer(&entry, &client, 1, OpCode::Create, &response).unwrap();
+        assert_eq!(plain, Response::Create(CreateResponse { path: "/app/a".into() }));
+        assert_eq!(cache.hits() + cache.misses(), lookups, "no path-cache lookup");
+
+        let request = Request::Multi(MultiRequest::new(vec![
+            Op::Create(create("/app/b", CreateMode::Persistent)),
+            Op::Delete(jute::records::DeleteRequest { path: "/app/a".into(), version: -1 }),
+            Op::Create(create("/app/c", CreateMode::Persistent)),
+        ]));
+        let Request::Multi(sealed) = rewrite(&entry, &client, 2, &request) else { panic!() };
+        let lookups = cache.hits() + cache.misses();
+        let results = vec![
+            OpResult::Create { path: sealed.ops[0].path().to_string() },
+            OpResult::Delete,
+            OpResult::Create { path: sealed.ops[2].path().to_string() },
+        ];
+        let plain = answer(
+            &entry,
+            &client,
+            2,
+            OpCode::Multi,
+            &Response::Multi(MultiResponse::new(results)),
+        )
+        .unwrap();
+        let expected = vec![
+            OpResult::Create { path: "/app/b".into() },
+            OpResult::Delete,
+            OpResult::Create { path: "/app/c".into() },
+        ];
+        assert_eq!(plain, Response::Multi(MultiResponse::new(expected)));
+        assert_eq!(cache.hits() + cache.misses(), lookups, "no path-cache lookup");
+    }
+
+    #[test]
+    fn other_create_results_are_still_decrypted_and_verified() {
+        use jute::multi::{MultiRequest, MultiResponse, Op, OpResult};
+
+        let cache = Arc::new(PathCipherCache::default());
+        let (_epc, entry, client) = cached_enclave(&cache);
+        let cipher = PathCipher::new(&StorageKey::derive_from_label("cluster"));
+
+        // The store answers with a different, validly encrypted path: the
+        // enclave reports what that ciphertext decrypts to, as before.
+        rewrite(&entry, &client, 1, &Request::Create(create("/app/a", CreateMode::Persistent)));
+        let other = cipher.encrypt_path("/app/other").unwrap();
+        let response = Response::Create(CreateResponse { path: other });
+        let plain = answer(&entry, &client, 1, OpCode::Create, &response).unwrap();
+        assert_eq!(plain, Response::Create(CreateResponse { path: "/app/other".into() }));
+
+        // A tampered ciphertext fails authentication.
+        let request = Request::Multi(MultiRequest::new(vec![Op::Create(create(
+            "/app/b",
+            CreateMode::Persistent,
+        ))]));
+        let Request::Multi(sealed) = rewrite(&entry, &client, 2, &request) else { panic!() };
+        let mut tampered = sealed.ops[0].path().to_string();
+        let last = tampered.pop().unwrap();
+        tampered.push(if last == 'A' { 'B' } else { 'A' });
+        let results = vec![OpResult::Create { path: tampered }];
+        let response = Response::Multi(MultiResponse::new(results));
+        let err = answer(&entry, &client, 2, OpCode::Multi, &response).unwrap_err();
+        assert!(matches!(err, SkError::IntegrityViolation { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn multibyte_sequential_create_is_sealed_without_panicking() {
+        // Ten bytes from the end of "/ééééabc" fall inside an 'é'; the
+        // sequence-suffix check must not slice there.
+        let (_epc, entry, client) = enclave();
+        for mode in [CreateMode::PersistentSequential, CreateMode::EphemeralSequential] {
+            let request = Request::Create(create("/ééééabc", mode));
+            let Request::Create(sealed) = rewrite(&entry, &client, 1, &request) else { panic!() };
+            assert!(!sealed.path.contains('é'));
         }
     }
 

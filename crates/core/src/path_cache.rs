@@ -11,12 +11,23 @@
 //! parents, membership directories), so a warm cache removes *all* AES and
 //! SHA-256 work from the path-handling part of a request.
 //!
-//! The cache is bounded (FIFO eviction) and is shared: one instance per
-//! replica serves every entry enclave of that replica, so a path warmed by
-//! one client session is warm for all of them — mirroring how the enclaves
-//! already share one storage key.
+//! The cache is bounded and is shared: one instance per replica serves
+//! every entry enclave of that replica, so a path warmed by one client
+//! session is warm for all of them — mirroring how the enclaves already
+//! share one storage key.
+//!
+//! A miss costs about as much as the crypto it saves, so eviction must be
+//! cheap: each direction keeps two generations of boxed-string maps and no
+//! per-entry queue. New entries go into the young generation; once it has
+//! taken half the capacity in new entries, the old generation is dropped
+//! wholesale and the young one takes its place. A hit in the old generation
+//! moves the entry to the young one, so paths in use survive the next
+//! turnover while cold ones age out. Moved entries do not count toward the
+//! young generation's quota (else a hot working set would turn the cache
+//! over early and keep it half empty); if they fill the cache, a batch of
+//! old entries makes room.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -24,36 +35,58 @@ use parking_lot::Mutex;
 /// Default number of paths (and chunks) retained per cache.
 pub const DEFAULT_PATH_CACHE_CAPACITY: usize = 4096;
 
-/// A bounded string→string map with FIFO eviction.
+/// A bounded string→string map evicting by generation.
 #[derive(Debug, Default)]
 struct BoundedMap {
-    map: HashMap<String, String>,
-    order: VecDeque<String>,
+    young: HashMap<Box<str>, Box<str>>,
+    old: HashMap<Box<str>, Box<str>>,
+    /// New entries the young generation has taken since the last turnover.
+    fresh: usize,
 }
 
 impl BoundedMap {
-    fn get(&self, key: &str) -> Option<String> {
-        self.map.get(key).cloned()
+    fn get(&mut self, key: &str) -> Option<String> {
+        if let Some(value) = self.young.get(key) {
+            return Some(value.to_string());
+        }
+        let (key, value) = self.old.remove_entry(key)?;
+        let found = value.to_string();
+        self.young.insert(key, value);
+        Some(found)
     }
 
-    fn insert(&mut self, key: String, value: String, capacity: usize) {
-        if self.map.contains_key(&key) {
+    fn insert(&mut self, key: &str, value: &str, capacity: usize) {
+        if self.young.contains_key(key) || self.old.contains_key(key) {
             return;
         }
-        while self.map.len() >= capacity.max(1) {
-            match self.order.pop_front() {
-                Some(oldest) => {
-                    self.map.remove(&oldest);
-                }
-                None => break,
+        if self.fresh >= (capacity / 2).max(1) {
+            // Drop the old generation, keeping its allocation for the new
+            // young one.
+            std::mem::swap(&mut self.young, &mut self.old);
+            self.young.clear();
+            self.fresh = 0;
+        }
+        if self.len() >= capacity {
+            // Moved entries filled the cache: shed an eighth of it, old
+            // entries first, in the maps' arbitrary order. One pass per
+            // batch keeps this amortized O(1) per insert.
+            let mut excess = self.len() + 1 - capacity + capacity / 8;
+            for generation in [&mut self.old, &mut self.young] {
+                generation.retain(|_, _| match excess {
+                    0 => true,
+                    _ => {
+                        excess -= 1;
+                        false
+                    }
+                });
             }
         }
-        self.order.push_back(key.clone());
-        self.map.insert(key, value);
+        self.young.insert(key.into(), value.into());
+        self.fresh += 1;
     }
 
     fn len(&self) -> usize {
-        self.map.len()
+        self.young.len() + self.old.len()
     }
 }
 
@@ -119,16 +152,8 @@ impl PathCipherCache {
     /// successfully but is *not* the canonical encryption, and caching it in
     /// the encrypt direction would redirect future requests.
     pub fn insert_path(&self, plaintext_path: &str, encrypted_path: &str) {
-        self.encrypt.lock().insert(
-            plaintext_path.to_string(),
-            encrypted_path.to_string(),
-            self.capacity,
-        );
-        self.decrypt.lock().insert(
-            encrypted_path.to_string(),
-            plaintext_path.to_string(),
-            self.capacity,
-        );
+        self.encrypt.lock().insert(plaintext_path, encrypted_path, self.capacity);
+        self.decrypt.lock().insert(encrypted_path, plaintext_path, self.capacity);
     }
 
     /// Records a decrypt-direction mapping only (for results recovered from
@@ -136,20 +161,12 @@ impl PathCipherCache {
     /// sound — it returns exactly what an uncached decryption would — but
     /// such mappings must never flow into the encrypt direction.
     pub fn insert_decrypted(&self, encrypted_path: &str, plaintext_path: &str) {
-        self.decrypt.lock().insert(
-            encrypted_path.to_string(),
-            plaintext_path.to_string(),
-            self.capacity,
-        );
+        self.decrypt.lock().insert(encrypted_path, plaintext_path, self.capacity);
     }
 
     /// Records a single chunk decryption.
     pub fn insert_chunk(&self, encoded_chunk: &str, plaintext_chunk: &str) {
-        self.chunks.lock().insert(
-            encoded_chunk.to_string(),
-            plaintext_chunk.to_string(),
-            self.capacity,
-        );
+        self.chunks.lock().insert(encoded_chunk, plaintext_chunk, self.capacity);
     }
 
     fn count(&self, result: Option<String>) -> Option<String> {
@@ -236,6 +253,58 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert!(cache.get_encrypted("/a").is_some());
         assert!(cache.get_encrypted("/b").is_some());
+    }
+
+    #[test]
+    fn entries_in_use_outlive_unused_ones() {
+        // FIFO would evict /a first; a hit moves it to the young generation,
+        // so the unused /b goes at the next turnover instead.
+        let cache = PathCipherCache::with_capacity(4);
+        for path in ["/a", "/b", "/c"] {
+            cache.insert_path(path, &format!("/E{path}"));
+        }
+        assert!(cache.get_encrypted("/a").is_some());
+        cache.insert_path("/d", "/ED");
+        cache.insert_path("/e", "/EE");
+        assert_eq!(cache.get_encrypted("/a").as_deref(), Some("/E/a"));
+        assert_eq!(cache.get_encrypted("/b"), None);
+        assert_eq!(cache.get_decrypted("/E/b"), None, "both directions evict alike");
+    }
+
+    #[test]
+    fn hits_do_not_turn_the_cache_over_early() {
+        // A working set moved young by hits must not count as new entries:
+        // the cache fills to its capacity instead of halving.
+        let cache = PathCipherCache::with_capacity(8);
+        let paths: Vec<String> = (0..9).map(|i| format!("/k{i}")).collect();
+        for path in &paths[..5] {
+            cache.insert_path(path, path);
+        }
+        for path in &paths[..4] {
+            assert!(cache.get_encrypted(path).is_some());
+        }
+        for path in &paths[5..8] {
+            cache.insert_path(path, path);
+        }
+        assert_eq!(cache.len(), 8);
+        assert!(paths[..8].iter().all(|path| cache.get_encrypted(path).is_some()));
+        // Full: the next new entry sheds a batch of the old generation.
+        cache.insert_path(&paths[8], &paths[8]);
+        assert!(cache.len() < 8);
+        assert!(cache.get_encrypted(&paths[8]).is_some());
+    }
+
+    #[test]
+    fn len_never_exceeds_capacity() {
+        for capacity in 1..8 {
+            let cache = PathCipherCache::with_capacity(capacity);
+            for i in 0..40 {
+                cache.insert_path(&format!("/{i}"), &format!("/E{i}"));
+                cache.get_encrypted(&format!("/{}", i / 2));
+                assert!(cache.len() <= capacity, "capacity {capacity}: {}", cache.len());
+            }
+            assert!(cache.get_encrypted("/39").is_some(), "newest entry kept");
+        }
     }
 
     #[test]

@@ -64,13 +64,20 @@ impl PathCipher {
     }
 
     /// Encrypts a single path chunk given the 12-byte IV derived from its
-    /// plaintext prefix.
-    fn encrypt_chunk_with_iv(&self, iv: [u8; NONCE_LEN], chunk: &str) -> String {
-        let mut combined = Vec::with_capacity(NONCE_LEN + chunk.len() + TAG_LEN);
-        combined.extend_from_slice(&iv);
-        combined.extend_from_slice(chunk.as_bytes());
-        self.cipher.seal_in_place_suffix(&iv, &mut combined, NONCE_LEN, b"securekeeper-path");
-        base64url::encode(&combined)
+    /// plaintext prefix, appending its encoding to `out`. `scratch` is a
+    /// reusable buffer for `IV || ciphertext || tag`.
+    fn encrypt_chunk_into(
+        &self,
+        iv: [u8; NONCE_LEN],
+        chunk: &str,
+        scratch: &mut Vec<u8>,
+        out: &mut String,
+    ) {
+        scratch.clear();
+        scratch.extend_from_slice(&iv);
+        scratch.extend_from_slice(chunk.as_bytes());
+        self.cipher.seal_in_place_suffix(&iv, scratch, NONCE_LEN, b"securekeeper-path");
+        base64url::encode_into(scratch, out);
     }
 
     /// Decrypts a single encoded chunk (IV is embedded, so no prefix needed).
@@ -132,17 +139,22 @@ impl PathCipher {
         }
 
         // One running hasher absorbs the path once; each chunk's IV is the
-        // digest of the clone-forked prefix state.
-        let mut encrypted = String::new();
+        // digest of the clone-forked prefix state. Every chunk is encoded
+        // straight into the one, exactly sized, output string.
+        let chunks = || plaintext_path[1..].split('/');
+        let mut encrypted = String::with_capacity(
+            chunks().map(|chunk| 1 + Self::encrypted_chunk_len(chunk.len())).sum(),
+        );
+        let mut scratch = Vec::with_capacity(NONCE_LEN + plaintext_path.len() + TAG_LEN);
         let mut prefix_hash = Sha256::new();
-        for chunk in plaintext_path[1..].split('/') {
+        for chunk in chunks() {
             prefix_hash.update(b"/");
             prefix_hash.update(chunk.as_bytes());
             let digest = prefix_hash.clone().finalize();
             let mut iv = [0u8; NONCE_LEN];
             iv.copy_from_slice(&digest[..NONCE_LEN]);
             encrypted.push('/');
-            encrypted.push_str(&self.encrypt_chunk_with_iv(iv, chunk));
+            self.encrypt_chunk_into(iv, chunk, &mut scratch, &mut encrypted);
         }
 
         if let Some(cache) = &self.cache {

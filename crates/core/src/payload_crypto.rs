@@ -55,14 +55,14 @@ pub const SEQUENCE_SUFFIX_LEN: usize = 10;
 
 /// Removes the 10-digit sequence suffix from a sequential znode path.
 ///
-/// Returns the input unchanged if it does not end in ten digits.
+/// Returns the input unchanged if it does not end in ten digits. The test
+/// runs on bytes, so a path whose last ten bytes cut through a multi-byte
+/// character is returned unchanged rather than sliced mid-character; when
+/// all ten are ASCII digits, the cut is a character boundary.
 pub fn strip_sequence_suffix(path: &str) -> &str {
-    if path.len() >= SEQUENCE_SUFFIX_LEN
-        && path[path.len() - SEQUENCE_SUFFIX_LEN..].chars().all(|c| c.is_ascii_digit())
-    {
-        &path[..path.len() - SEQUENCE_SUFFIX_LEN]
-    } else {
-        path
+    match path.len().checked_sub(SEQUENCE_SUFFIX_LEN) {
+        Some(cut) if path.as_bytes()[cut..].iter().all(u8::is_ascii_digit) => &path[..cut],
+        _ => path,
     }
 }
 
@@ -245,6 +245,21 @@ mod tests {
         assert_eq!(strip_sequence_suffix("/locks/lock-"), "/locks/lock-");
         assert_eq!(strip_sequence_suffix("/short12"), "/short12");
         assert_eq!(strip_sequence_suffix("0123456789"), "");
+    }
+
+    #[test]
+    fn strip_sequence_suffix_never_cuts_a_multibyte_character() {
+        // Ten bytes from the end of "/ééééabc" is the middle of an 'é'.
+        assert_eq!(strip_sequence_suffix("/ééééabc"), "/ééééabc");
+        assert_eq!(strip_sequence_suffix("/é0000000042"), "/é");
+        assert_eq!(strip_sequence_suffix("é00000004"), "é00000004");
+        for path in ["ééééé", "/日本語の名前", "€€€€", "/a€0000000001"] {
+            let stripped = strip_sequence_suffix(path);
+            assert!(path.starts_with(stripped), "{path}");
+        }
+        let cipher = cipher();
+        let sealed = cipher.seal("/ééééabc", b"v", SequentialFlag::Sequential);
+        assert_eq!(cipher.open("/ééééabc", &sealed).unwrap(), b"v");
     }
 
     #[test]

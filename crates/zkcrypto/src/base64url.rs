@@ -37,21 +37,29 @@ static DECODE_TABLE: [u8; 256] = {
 #[inline]
 pub fn encode(data: &[u8]) -> String {
     let mut out = String::with_capacity(encoded_len(data.len()));
-    for chunk in data.chunks(3) {
-        let b0 = chunk[0] as u32;
-        let b1 = chunk.get(1).copied().unwrap_or(0) as u32;
-        let b2 = chunk.get(2).copied().unwrap_or(0) as u32;
-        let triple = (b0 << 16) | (b1 << 8) | b2;
-        out.push(ALPHABET[(triple >> 18) as usize & 0x3f] as char);
-        out.push(ALPHABET[(triple >> 12) as usize & 0x3f] as char);
-        if chunk.len() > 1 {
-            out.push(ALPHABET[(triple >> 6) as usize & 0x3f] as char);
-        }
-        if chunk.len() > 2 {
-            out.push(ALPHABET[triple as usize & 0x3f] as char);
-        }
-    }
+    encode_into(data, &mut out);
     out
+}
+
+/// Appends the encoding of `data` to `out`, as [`encode`] would return it,
+/// so a caller assembling a larger string needs no intermediate one.
+#[inline]
+pub fn encode_into(data: &[u8], out: &mut String) {
+    out.reserve(encoded_len(data.len()));
+    let (triples, rest) = data.as_chunks::<3>();
+    let mut push = |triple: u32, sextets: usize| {
+        for shift in [18, 12, 6, 0].into_iter().take(sextets) {
+            out.push(ALPHABET[(triple >> shift) as usize & 0x3f] as char);
+        }
+    };
+    for &[b0, b1, b2] in triples {
+        push((b0 as u32) << 16 | (b1 as u32) << 8 | b2 as u32, 4);
+    }
+    match *rest {
+        [b0] => push((b0 as u32) << 16, 2),
+        [b0, b1] => push((b0 as u32) << 16 | (b1 as u32) << 8, 3),
+        _ => {}
+    }
 }
 
 /// Decodes a URL-safe Base64 string produced by [`encode`].
@@ -117,6 +125,15 @@ mod tests {
         assert_eq!(encode(b"foob"), "Zm9vYg");
         assert_eq!(encode(b"fooba"), "Zm9vYmE");
         assert_eq!(encode(b"foobar"), "Zm9vYmFy");
+    }
+
+    #[test]
+    fn encode_into_appends() {
+        let mut out = String::from("/");
+        encode_into(b"foob", &mut out);
+        encode_into(b"", &mut out);
+        encode_into(b"ar", &mut out);
+        assert_eq!(out, "/Zm9vYgYXI");
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! with AES-NI and PCLMULQDQ, [`gcm::AesGcm128::new`] runs the hardware
 //! kernels of the vendored `gcmhw` crate, which holds every line of their
 //! `unsafe`; elsewhere it runs the portable table-driven AES and GHASH of
-//! this crate. [`gcm::backend_name`] says which. The portable hot paths (AES,
+//! this crate. [`gcm::backend_name`] says which. SHA-256 dispatches the same
+//! way, per hasher: [`sha256::Sha256::new`] runs `gcmhw`'s SHA-NI block
+//! function where the CPU has the SHA extensions, and
+//! [`sha256::backend_name`] says which. The portable hot paths (AES,
 //! GHASH, Base64 decode) are table-driven — see `README.md` for the
 //! architecture decisions — and the original naive implementations are
 //! retained as reference oracles that the property tests check both backends

@@ -3,6 +3,33 @@
 //! SecureKeeper derives path-chunk initialization vectors from the SHA-256
 //! hash of the path prefix, and binds payloads to their znode path by storing
 //! a SHA-256 digest of the path alongside the payload.
+//!
+//! [`Sha256::new`] picks the block function once per hasher, by CPU
+//! detection: on a CPU with the SHA extensions (plus `ssse3` and `sse4.1`)
+//! it runs the SHA-NI kernel of the vendored `gcmhw` crate, which holds all
+//! of its `unsafe`; elsewhere it runs the portable FIPS 180-4 code of this
+//! module. Padding and buffering are shared, so both backends produce the
+//! same digest; [`Sha256::portable`] pins the fallback for tests and
+//! benchmarks, and [`Sha256::digest_reference`] always runs it, as the oracle
+//! the property tests check both against. [`backend_name`] says which backend
+//! `new` selects.
+
+use gcmhw::sha256::Kernel;
+
+/// Name of the SHA-NI backend.
+const HW_BACKEND: &str = "sha-ni";
+/// Name of the portable software backend.
+const PORTABLE_BACKEND: &str = "portable";
+
+/// The backend [`Sha256::new`] selects on this CPU: `"sha-ni"` or
+/// `"portable"`.
+pub fn backend_name() -> &'static str {
+    if gcmhw::sha256::is_supported() {
+        HW_BACKEND
+    } else {
+        PORTABLE_BACKEND
+    }
+}
 
 /// Incremental SHA-256 hasher.
 ///
@@ -24,6 +51,8 @@ pub struct Sha256 {
     length: u64,
     buffer: [u8; 64],
     buffered: usize,
+    /// The SHA-NI block function, or `None` for the portable one.
+    kernel: Option<Kernel>,
 }
 
 const H0: [u32; 8] = [
@@ -48,9 +77,17 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a hasher with the FIPS 180-4 initial state.
+    /// Creates a hasher with the FIPS 180-4 initial state, on the SHA-NI
+    /// backend if the CPU supports it, else on the portable one.
     pub fn new() -> Self {
-        Sha256 { state: H0, length: 0, buffer: [0; 64], buffered: 0 }
+        Sha256 { kernel: Kernel::new(), ..Sha256::portable() }
+    }
+
+    /// Creates a hasher on the portable backend whatever the CPU supports.
+    /// For equivalence tests and benchmarks that must run the fallback on a
+    /// SHA-NI host; production code calls [`Sha256::new`].
+    pub fn portable() -> Self {
+        Sha256 { state: H0, length: 0, buffer: [0; 64], buffered: 0, kernel: None }
     }
 
     /// Convenience helper: hash `data` in one call.
@@ -71,19 +108,15 @@ impl Sha256 {
             input = &input[take..];
             if self.buffered == 64 {
                 let block = self.buffer;
-                self.compress(&block);
+                self.compress(&[block]);
                 self.buffered = 0;
             }
         }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
-        }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
+        let (blocks, rest) = input.as_chunks::<64>();
+        self.compress(blocks);
+        if !rest.is_empty() {
+            self.buffer[..rest.len()].copy_from_slice(rest);
+            self.buffered = rest.len();
         }
     }
 
@@ -97,17 +130,18 @@ impl Sha256 {
         block[self.buffered] = 0x80;
         block[self.buffered + 1..].fill(0);
         if self.buffered >= 56 {
-            self.compress(&block);
+            self.compress(&[block]);
             block = [0; 64];
         }
         block[56..].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
-        self.compress(&block);
-        self.output()
+        self.compress(&[block]);
+        to_digest(&self.state)
     }
 
-    /// Textbook one-shot SHA-256: pads the whole message into a fresh
-    /// buffer and compresses it block by block. Retained as the reference
-    /// oracle the property tests check the incremental hasher against.
+    /// Textbook one-shot SHA-256 on the portable backend: pads the whole
+    /// message into a fresh buffer and compresses it block by block.
+    /// Retained as the reference oracle the property tests check the
+    /// incremental hasher, on either backend, against.
     pub fn digest_reference(data: &[u8]) -> [u8; 32] {
         let mut message = data.to_vec();
         message.push(0x80);
@@ -115,67 +149,74 @@ impl Sha256 {
             message.push(0);
         }
         message.extend_from_slice(&((data.len() as u64).wrapping_mul(8)).to_be_bytes());
-        let mut h = Sha256::new();
-        for chunk in message.chunks_exact(64) {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(chunk);
-            h.compress(&block);
+        let mut state = H0;
+        for block in message.as_chunks::<64>().0 {
+            compress_portable(&mut state, block);
         }
-        h.output()
+        to_digest(&state)
     }
 
-    /// The current chaining state as a big-endian digest.
-    fn output(&self) -> [u8; 32] {
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    /// Absorbs whole blocks on this hasher's backend.
+    fn compress(&mut self, blocks: &[[u8; 64]]) {
+        match &self.kernel {
+            Some(kernel) => kernel.compress(&mut self.state, blocks),
+            None => blocks.iter().for_each(|block| compress_portable(&mut self.state, block)),
         }
-        out
+    }
+}
+
+/// A chaining state as a big-endian digest.
+fn to_digest(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(state) {
+        *bytes = word.to_be_bytes();
+    }
+    out
+}
+
+/// The FIPS 180-4 compression function (§6.2.2) in portable Rust.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes([
+            block[4 * i],
+            block[4 * i + 1],
+            block[4 * i + 2],
+            block[4 * i + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
     }
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
 }
 
 #[cfg(test)]
@@ -186,11 +227,23 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The hex digest of `data` on the default and the portable backend,
+    /// checked equal.
+    fn hex_digest(data: &[u8]) -> String {
+        let hashers = [Sha256::new(), Sha256::portable()];
+        let [default, portable] = hashers.map(|mut h| {
+            h.update(data);
+            hex(&h.finalize())
+        });
+        assert_eq!(default, portable);
+        default
+    }
+
     // Known-answer tests from FIPS 180-4 / NIST example vectors.
     #[test]
     fn empty_string() {
         assert_eq!(
-            hex(&Sha256::digest(b"")),
+            hex_digest(b""),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         );
     }
@@ -198,7 +251,7 @@ mod tests {
     #[test]
     fn abc() {
         assert_eq!(
-            hex(&Sha256::digest(b"abc")),
+            hex_digest(b"abc"),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         );
     }
@@ -206,7 +259,7 @@ mod tests {
     #[test]
     fn two_block_message() {
         assert_eq!(
-            hex(&Sha256::digest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+            hex_digest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
     }
@@ -215,7 +268,7 @@ mod tests {
     fn one_million_a() {
         let data = vec![b'a'; 1_000_000];
         assert_eq!(
-            hex(&Sha256::digest(&data)),
+            hex_digest(&data),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
     }
@@ -254,6 +307,12 @@ mod tests {
             hex(&Sha256::digest_reference(b"")),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         );
+    }
+
+    #[test]
+    fn new_runs_the_backend_backend_name_reports() {
+        assert_eq!(Sha256::new().kernel.is_some(), backend_name() == HW_BACKEND);
+        assert!(Sha256::portable().kernel.is_none());
     }
 
     #[test]

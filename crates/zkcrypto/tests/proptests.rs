@@ -269,6 +269,29 @@ proptest! {
         prop_assert_eq!(hasher.finalize(), Sha256::digest_reference(&data));
     }
 
+    // The default hasher (SHA-NI where the CPU has it) and the pinned
+    // portable one, fed the same message through the same random `update`
+    // splits, both equal the portable one-shot reference. Lengths up to
+    // 4 KiB cover multi-block kernel calls as well as every padding residue.
+    #[test]
+    fn sha256_backends_match_the_reference(
+        data in proptest::collection::vec(any::<u8>(), 0..4096),
+        splits in proptest::collection::vec(any::<prop::sample::Index>(), 0..6),
+    ) {
+        let mut cuts: Vec<usize> = splits.iter().map(|s| s.index(data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let expected = Sha256::digest_reference(&data);
+        for mut hasher in [Sha256::new(), Sha256::portable()] {
+            let mut from = 0;
+            for &cut in &cuts {
+                hasher.update(&data[from..cut]);
+                from = cut;
+            }
+            hasher.update(&data[from..]);
+            prop_assert_eq!(hasher.finalize(), expected);
+        }
+    }
+
     #[test]
     fn hmac_verifies_own_output(
         key in proptest::collection::vec(any::<u8>(), 0..100),

@@ -176,11 +176,14 @@ fn encode_payload(
     txn: &WriteTxn,
     ctx: Option<TraceContext>,
 ) -> Vec<u8> {
-    let txn_bytes = txn.to_bytes();
-    let mut out = OutputArchive::with_capacity(36 + txn_bytes.len());
+    // The txn is a nested jute buffer: its length, then its fields written
+    // straight into this archive.
+    let txn_len = txn.encoded_len();
+    let mut out = OutputArchive::with_capacity(36 + txn_len);
     out.write_i32(origin.0 as i32);
     out.write_i64(request_id as i64);
-    out.write_buffer(&txn_bytes);
+    out.write_i32(txn_len as i32);
+    txn.serialize(&mut out);
     let ctx = ctx.unwrap_or(TraceContext { trace_id: 0, span_id: 0, flags: 0 });
     out.write_i64(ctx.trace_id as i64);
     out.write_i64(ctx.span_id as i64);
@@ -1609,5 +1612,36 @@ impl ZkEnsembleServer {
 impl Drop for ZkEnsembleServer {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn payload_nests_the_txn_exactly_as_a_serialized_buffer() {
+        let txn = WriteTxn { session_id: 0x0102, time_ms: -7, request_bytes: vec![9; 300] };
+        let ctx = TraceContext { trace_id: 11, span_id: 12, flags: 1 };
+        for ctx in [None, Some(ctx)] {
+            // The two-step encoding WAL records and peer frames were written
+            // with: the txn serialized on its own, then copied in as a buffer.
+            let mut expected = OutputArchive::with_capacity(0);
+            expected.write_i32(3);
+            expected.write_i64(42);
+            expected.write_buffer(&txn.to_bytes());
+            let ctx_fields = ctx.unwrap_or(TraceContext { trace_id: 0, span_id: 0, flags: 0 });
+            expected.write_i64(ctx_fields.trace_id as i64);
+            expected.write_i64(ctx_fields.span_id as i64);
+            expected.write_i32(i32::from(ctx_fields.flags));
+
+            let payload = encode_payload(NodeId(3), 42, &txn, ctx);
+            assert_eq!(payload, expected.into_bytes());
+            let (origin, request_id, decoded, decoded_ctx) = decode_payload(&payload).unwrap();
+            assert_eq!(
+                (origin, request_id, decoded, decoded_ctx),
+                (NodeId(3), 42, txn.clone(), ctx)
+            );
+        }
     }
 }

@@ -266,6 +266,16 @@ impl ServerMetrics {
                 "AES-GCM backend selected on this host (info gauge, always 1).",
             )
             .set(1);
+        // Likewise for the SHA-256 block function (`sha-ni` or `portable`)
+        // behind path IVs and payload-to-path bindings.
+        metrics
+            .registry
+            .gauge_with(
+                "zk_sha256_backend",
+                &[("backend", zkcrypto::sha256::backend_name())],
+                "SHA-256 backend selected on this host (info gauge, always 1).",
+            )
+            .set(1);
         let uptime = metrics.registry.gauge("zk_uptime_seconds", "Seconds since server start.");
         let started = Instant::now();
         metrics.registry.register_collector(move || uptime.set(started.elapsed().as_secs() as i64));
@@ -344,6 +354,14 @@ mod tests {
         let text = ServerMetrics::new().registry().render();
         let series =
             format!("zk_crypto_backend{{backend=\"{}\"}} 1", zkcrypto::gcm::backend_name());
+        assert!(text.contains(&series), "{text}");
+    }
+
+    #[test]
+    fn sha256_backend_info_gauge_names_the_selected_backend() {
+        let text = ServerMetrics::new().registry().render();
+        let series =
+            format!("zk_sha256_backend{{backend=\"{}\"}} 1", zkcrypto::sha256::backend_name());
         assert!(text.contains(&series), "{text}");
     }
 

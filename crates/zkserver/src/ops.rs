@@ -66,11 +66,22 @@ pub struct WriteTxn {
 impl WriteTxn {
     /// Serializes the transaction for the ZAB payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = OutputArchive::with_capacity(self.request_bytes.len() + 24);
+        let mut out = OutputArchive::with_capacity(self.encoded_len());
+        self.serialize(&mut out);
+        out.into_bytes()
+    }
+
+    /// Appends the fields [`WriteTxn::to_bytes`] produces to `out`, so an
+    /// enclosing record can nest the transaction without a second copy.
+    pub fn serialize(&self, out: &mut OutputArchive) {
         out.write_i64(self.session_id);
         out.write_i64(self.time_ms);
         out.write_buffer(&self.request_bytes);
-        out.into_bytes()
+    }
+
+    /// Length in bytes of the serialized transaction.
+    pub fn encoded_len(&self) -> usize {
+        8 + 8 + 4 + self.request_bytes.len()
     }
 
     /// Decodes a transaction from a ZAB payload.

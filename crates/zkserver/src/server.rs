@@ -258,7 +258,7 @@ impl ZkReplica {
         for path in tree.ephemerals_of(session_id) {
             let zxid = self.last_zxid.fetch_add(1, Ordering::SeqCst) + 1;
             if tree.delete(&path, -1, zxid).is_ok() {
-                self.record_delete_watches(&path, zxid);
+                self.record_path_watches(&path, WatchEventKind::NodeDeleted, zxid);
             }
         }
     }
@@ -318,13 +318,13 @@ impl ZkReplica {
     fn record_write_watches(&self, request: &Request, response: &Response, zxid: i64) {
         match (request, response) {
             (Request::Create(_), Response::Create(create)) => {
-                self.record_create_watches(&create.path, zxid);
+                self.record_path_watches(&create.path, WatchEventKind::NodeCreated, zxid);
             }
             (Request::Delete(delete), Response::Delete) => {
-                self.record_delete_watches(&delete.path, zxid);
+                self.record_path_watches(&delete.path, WatchEventKind::NodeDeleted, zxid);
             }
             (Request::SetData(set), Response::SetData(_)) => {
-                self.record_set_data_watches(&set.path, zxid);
+                self.record_path_watches(&set.path, WatchEventKind::NodeDataChanged, zxid);
             }
             (Request::Multi(multi), Response::Multi(results)) if results.is_committed() => {
                 self.record_multi_watches(multi, results, zxid);
@@ -348,10 +348,14 @@ impl ZkReplica {
     ) {
         use std::collections::HashSet;
 
+        let mut watches = self.watches.lock();
+        // Nothing armed: skip building the coalescing sets.
+        if watches.is_empty() {
+            return;
+        }
         let mut fired: HashSet<(String, WatchEventKind)> = HashSet::new();
         let mut parents: HashSet<String> = HashSet::new();
         let mut events = Vec::new();
-        let mut watches = self.watches.lock();
         for (op, result) in multi.ops.iter().zip(&results.results) {
             let (path, kind) = match (op, result) {
                 (jute::multi::Op::Create(_), jute::multi::OpResult::Create { path }) => {
@@ -380,27 +384,22 @@ impl ZkReplica {
         self.watch_events.lock().extend(events);
     }
 
-    fn record_create_watches(&self, path: &str, zxid: i64) {
-        let events = self.watches.lock().trigger_data(path, WatchEventKind::NodeCreated, zxid);
-        self.watch_events.lock().extend(events);
-        if let Some((parent, _)) = split_path(path) {
-            let events = self.watches.lock().trigger_children(parent, zxid);
-            self.watch_events.lock().extend(events);
+    /// Fires the watches one write of `kind` on `path` triggers: the data
+    /// watches of `path` and, when a node appeared or vanished, the child
+    /// watches of its parent.
+    fn record_path_watches(&self, path: &str, kind: WatchEventKind, zxid: i64) {
+        let mut watches = self.watches.lock();
+        if watches.is_empty() {
+            return;
         }
-    }
-
-    fn record_set_data_watches(&self, path: &str, zxid: i64) {
-        let events = self.watches.lock().trigger_data(path, WatchEventKind::NodeDataChanged, zxid);
-        self.watch_events.lock().extend(events);
-    }
-
-    fn record_delete_watches(&self, path: &str, zxid: i64) {
-        let events = self.watches.lock().trigger_data(path, WatchEventKind::NodeDeleted, zxid);
-        self.watch_events.lock().extend(events);
-        if let Some((parent, _)) = split_path(path) {
-            let events = self.watches.lock().trigger_children(parent, zxid);
-            self.watch_events.lock().extend(events);
+        let mut events = watches.trigger_data(path, kind, zxid);
+        if kind != WatchEventKind::NodeDataChanged {
+            if let Some((parent, _)) = split_path(path) {
+                events.extend(watches.trigger_children(parent, zxid));
+            }
         }
+        drop(watches);
+        self.watch_events.lock().extend(events);
     }
 
     /// Drains watch notifications queued for `session_id`.

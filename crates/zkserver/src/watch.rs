@@ -87,6 +87,13 @@ impl WatchManager {
         self.child_watches.entry(path.to_string()).or_default().insert(session_id);
     }
 
+    /// Whether no watch is armed. O(1): firing removes a path's entry and
+    /// closing a session drops the entries it emptied, so no empty set
+    /// lingers.
+    pub fn is_empty(&self) -> bool {
+        self.data_watches.is_empty() && self.child_watches.is_empty()
+    }
+
     /// Number of pending watches (data + child).
     pub fn pending(&self) -> usize {
         self.data_watches.values().map(HashSet::len).sum::<usize>()
@@ -162,6 +169,22 @@ mod tests {
     }
 
     #[test]
+    fn is_empty_tracks_armed_watches() {
+        let mut mgr = WatchManager::new();
+        assert!(mgr.is_empty());
+        mgr.add_data_watch("/a", 1);
+        mgr.add_child_watch("/b", 2);
+        assert!(!mgr.is_empty());
+        mgr.trigger_data("/a", WatchEventKind::NodeDeleted, 7);
+        assert!(!mgr.is_empty());
+        mgr.remove_session(2);
+        assert!(mgr.is_empty(), "closing the last watcher's session empties it");
+        mgr.add_data_watch("/c", 3);
+        mgr.trigger_data("/c", WatchEventKind::NodeDataChanged, 8);
+        assert!(mgr.is_empty());
+    }
+
+    #[test]
     fn child_watch_is_independent_of_data_watch() {
         let mut mgr = WatchManager::new();
         mgr.add_data_watch("/a", 1);
@@ -201,6 +224,7 @@ mod tests {
         mgr.add_child_watch("/b", 1);
         mgr.remove_session(1);
         assert_eq!(mgr.pending(), 1);
+        assert!(!mgr.is_empty());
         let events = mgr.trigger_data("/a", WatchEventKind::NodeDeleted, 7);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].session_id, 2);

@@ -18,10 +18,12 @@ import sys
 
 GUARDED_BENCHMARKS = [
     # Crypto hot path (BENCH_crypto.json). aes_gcm_seal runs the backend the
-    # host selects (AES-NI + CLMUL on the CI runners); the portable row keeps
-    # the table-driven fallback guarded even where it never runs by default.
+    # host selects (AES-NI + CLMUL on the CI runners); the portable rows keep
+    # the table-driven AES-GCM and the FIPS 180-4 SHA-256 fallbacks guarded
+    # even where they never run by default.
     "zkcrypto/aes_gcm_seal/4096",
     "zkcrypto_fastpath/aes_gcm_seal_portable/4096",
+    "zkcrypto_fastpath/sha256_portable/1024",
     "zkcrypto_fastpath/ghash_1k/table",
     # Networked-ensemble failover (BENCH_ensemble.json): recovery time after
     # a leader crash and steady-state per-op latency, plain and secure.

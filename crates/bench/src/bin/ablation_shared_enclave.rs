@@ -1,14 +1,12 @@
-//! Ablation (paper §6.5 discussion): per-client entry enclaves versus a single
-//! shared enclave per replica, and sensitivity to the enclave-transition cost.
+//! Ablation (paper §6.5 discussion): EPC footprint of per-client entry
+//! enclaves versus a single shared enclave per replica — a *model*: the
+//! footprints are the paper's per-enclave sizes, and whether they page is
+//! the EPC model's verdict, since paging needs SGX hardware.
 //!
 //! The paper chooses one enclave per client to keep the enclave code free of
-//! session management; the cost is EPC footprint (~580 KB per client). This
-//! binary quantifies both sides of that trade-off with the EPC model and the
-//! cost model.
+//! session management; the cost is EPC footprint (~580 KB per client).
 
-use sgx_sim::{CostModel, Epc};
-use workload::costmodel::ServiceCostModel;
-use workload::variant::{OpKind, RequestMode, Variant};
+use sgx_sim::Epc;
 
 const ENTRY_ENCLAVE_BYTES: usize = 580 * 1024;
 const SHARED_ENCLAVE_BASE_BYTES: usize = 700 * 1024;
@@ -16,7 +14,7 @@ const PER_SESSION_STATE_BYTES: usize = 4 * 1024;
 
 fn main() {
     bench::print_header(
-        "Ablation — per-client entry enclaves vs one shared enclave per replica",
+        "Ablation — per-client entry enclaves vs one shared enclave per replica (EPC model)",
         "paper §6.5: >150 per-client enclaves fit in the EPC; co-locating clients would shrink memory but add synchronization",
     );
 
@@ -37,26 +35,4 @@ fn main() {
             if epc.usage().is_paging() { "per-client" } else { "no" }
         );
     }
-
-    println!("\nsensitivity of the GET overhead to the enclave-transition cost:");
-    println!("{:>24} {:>22}", "transition cost [ns]", "GET overhead vs TLS");
-    for factor in [0.25, 0.5, 1.0, 2.0, 4.0] {
-        let sgx = CostModel {
-            ecall_entry_ns: 1_200.0 * factor,
-            ecall_exit_ns: 1_200.0 * factor,
-            ..CostModel::default()
-        };
-        // The analytic service model keeps Table 1 calibration; here we report
-        // the microscopic enclave cost per GET for context.
-        let per_get = sgx.ecall_roundtrip_ns(1_100, 1_100) * 2.0 + sgx.aes_gcm_ns(1_024) * 2.0;
-        let model = ServiceCostModel::default();
-        let tls =
-            model.request_cost_ns(Variant::TlsZk, OpKind::Get, 1024, RequestMode::Synchronous);
-        println!(
-            "{:>24.0} {:>21.1}%",
-            sgx.ecall_entry_ns + sgx.ecall_exit_ns,
-            per_get / tls * 100.0
-        );
-    }
-    println!("\n(the paper's measured delta of ~8-11% corresponds to the 1x row)");
 }

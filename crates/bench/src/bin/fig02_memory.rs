@@ -1,11 +1,13 @@
 //! Figure 2: memory usage of a ZooKeeper cluster over time (idle, then a
-//! 70:30 GET/SET workload from 4 clients on 1 KiB znodes).
+//! 70:30 GET/SET workload from 4 clients on 1 KiB znodes) — a *model*: the
+//! replicas here are not JVMs, so a JVM heap model sits on top of the
+//! measured data-tree size of an in-process cluster.
 
 use workload::memtrace::{JvmModel, MemoryTrace};
 
 fn main() {
     bench::print_header(
-        "Figure 2 — memory usage of ZooKeeper over time",
+        "Figure 2 — memory usage of ZooKeeper over time (model: JVM heap + measured tree)",
         "paper §3.3, Figure 2: idle ~120 MB, >400 MB under a small workload",
     );
     let trace = MemoryTrace::default();

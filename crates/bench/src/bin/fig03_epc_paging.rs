@@ -1,12 +1,13 @@
 //! Figure 3: random page accesses per second versus allocated enclave memory,
-//! showing the L3-cache and EPC cliffs.
+//! showing the L3-cache and EPC cliffs — a *model* (`sgx_sim::paging`):
+//! EPC paging needs SGX hardware.
 
 use sgx_sim::paging::{figure3_sizes_mb, random_access_sweep};
 use sgx_sim::CostModel;
 
 fn main() {
     bench::print_header(
-        "Figure 3 — performance impact of enclave memory size on random accesses",
+        "Figure 3 — performance impact of enclave memory size on random accesses (EPC model)",
         "paper §3.3, Figure 3: ~5.5x slowdown past the 8 MB L3, ~200x past the EPC",
     );
     let model = CostModel::default();

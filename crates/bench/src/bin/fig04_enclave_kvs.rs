@@ -1,12 +1,13 @@
 //! Figure 4: throughput of a key-value store running inside an enclave versus
-//! natively, as the enclave memory range grows past the EPC.
+//! natively, as the enclave memory range grows past the EPC — a *model*
+//! (`sgx_sim::paging`): EPC paging needs SGX hardware.
 
 use sgx_sim::paging::{figure4_sizes_mb, kvs_sweep, KvsExperiment};
 use sgx_sim::CostModel;
 
 fn main() {
     bench::print_header(
-        "Figure 4 — key-value store in an enclave, randomized request pattern",
+        "Figure 4 — key-value store in an enclave, randomized request pattern (EPC model)",
         "paper §3.3, Figure 4: throughput collapses once the enclave exceeds ~92 MB",
     );
     let model = CostModel::default();

@@ -1,20 +1,13 @@
 //! Figure 6: throughput of the 70:30 GET/SET mix (1 KiB payload) as the number
-//! of client threads grows — synchronous (6a) and asynchronous (6b).
+//! of client connections grows — synchronous (6a) and asynchronous (6b) —
+//! measured over live loopback TCP servers for vanilla ZooKeeper, TLS-ZK and
+//! SecureKeeper.
 //!
-//! By default the analytic cost model generates the curves. With `--net` the
-//! experiment instead drives *real TCP connections* against live servers
-//! (vanilla and SecureKeeper) on loopback, measuring actual connection
-//! concurrency through the networked transport:
-//!
-//! ```text
-//! cargo run --release --bin fig06_client_scaling -- --net
-//! ```
-//!
-//! With `--multi N` the networked harness instead measures atomic `multi`
+//! With `--multi N` the harness instead measures atomic `multi`
 //! transactions of N sub-operations (one `check` guard plus N-1 `set_data`
-//! writes per batch) against both servers, reporting throughput in
-//! sub-operations per second so the batching amortization is directly
-//! comparable with the single-op mix. When `BENCH_JSON` is set, the
+//! writes per batch) against plain and SecureKeeper servers, reporting
+//! throughput in sub-operations per second so the batching amortization is
+//! directly comparable with the single-op mix. When `BENCH_JSON` is set, the
 //! plain-vs-secure batched results are appended to that file in the
 //! regression-guard JSON-lines format.
 //!
@@ -31,106 +24,52 @@
 //! BENCH_JSON=bench-recipes.json cargo run --release --bin fig06_client_scaling -- --recipes
 //! ```
 
-use std::io::Write;
-use std::sync::Arc;
-
-use securekeeper::integration::{secure_standalone, SecureKeeperConfig};
-use securekeeper::SecureSessionCredentials;
-use workload::costmodel::ServiceCostModel;
-use workload::generator::{MultiSpec, RecipeKind, RecipeSpec};
+use workload::generator::{MultiSpec, RecipeSpec, WorkloadSpec};
 use workload::metrics::{Figure, Series};
-use workload::netdriver::{run_mixed_get_set, run_multi_batches, run_recipes, NetRunReport};
+use workload::netdriver::{run_multi_batches, run_recipes, LiveServer, NetRunReport};
 use workload::variant::{RequestMode, Variant};
-use zkserver::net::{PlainCredentials, SessionCredentials};
-use zkserver::session::MonotonicClock;
-use zkserver::{ZkReplica, ZkTcpServer};
 
 /// Payload size of the Figure 6 mix.
 const PAYLOAD_BYTES: usize = 1024;
-/// Operations each connection performs in the networked mode.
-const OPS_PER_CLIENT: usize = 400;
-/// Transactions each connection commits in the `--multi` mode.
+/// Transactions each connection commits in the `--multi` and `--recipes`
+/// modes.
 const TXNS_PER_CLIENT: usize = 100;
+/// The variants the `--multi` and `--recipes` modes compare, with the label
+/// of their BENCH_JSON rows.
+const BATCH_VARIANTS: [(Variant, &str); 2] =
+    [(Variant::VanillaZk, "plain"), (Variant::SecureKeeper, "secure")];
 
-fn run_networked_mode() {
+fn run_scaling() {
     bench::print_header(
-        "Figure 6 (networked) — measured throughput of the 70:30 mix vs real TCP connections",
-        "paper §6.1, Figure 6: each data point drives N live loopback connections",
+        "Figure 6 — throughput of the 70:30 mix vs number of client connections",
+        "paper §6.1, Figures 6a/6b: each point drives N live loopback connections",
     );
-    let client_counts = [1usize, 2, 4, 8, 16, 32];
-    let mut figure = Figure::new(
-        "Figure 6 (networked) — measured loopback throughput",
-        "Client Connections",
-        "Requests/s",
-    );
-
-    // Vanilla ZooKeeper: plain transport, passthrough interceptor.
-    let mut native = Series::new("zookeeper (measured)");
-    {
-        let replica = Arc::new(ZkReplica::new(1).with_clock(Arc::new(MonotonicClock::new())));
-        let server = ZkTcpServer::bind("127.0.0.1:0", replica).expect("bind loopback");
-        for &clients in &client_counts {
-            let credentials: Arc<dyn SessionCredentials> = Arc::new(PlainCredentials);
-            let report = run_mixed_get_set(
-                server.local_addr(),
-                credentials,
-                clients,
-                OPS_PER_CLIENT,
-                PAYLOAD_BYTES,
-            )
-            .expect("networked run");
-            native.push(clients as f64, report.throughput_rps);
+    for (caption, mode, client_counts) in [
+        (
+            "Figure 6a — synchronous requests",
+            RequestMode::Synchronous,
+            &[1usize, 2, 4, 8, 16, 32][..],
+        ),
+        ("Figure 6b — asynchronous requests", RequestMode::Asynchronous, &[1, 2, 4, 8][..]),
+    ] {
+        let mut figure = Figure::new(caption, "Client Connections", "Requests/s");
+        for variant in Variant::all() {
+            let mut series = Series::new(variant.label());
+            for &clients in client_counts {
+                let spec = WorkloadSpec::paper_mix(PAYLOAD_BYTES, clients);
+                series.push(clients as f64, bench::measure(variant, &spec, mode));
+            }
+            figure.add(series);
         }
-        server.shutdown();
+        bench::print_figure(&figure);
     }
-    figure.add(native);
-
-    // SecureKeeper: entry enclaves on the connection path, encrypted wire.
-    let mut secure = Series::new("securekeeper (measured)");
-    {
-        let config = SecureKeeperConfig::with_label("fig06-net");
-        let (replica, _interceptor, _counter) = secure_standalone(&config);
-        let server = ZkTcpServer::bind("127.0.0.1:0", replica).expect("bind loopback");
-        for &clients in &client_counts {
-            let credentials: Arc<dyn SessionCredentials> = Arc::new(SecureSessionCredentials);
-            let report = run_mixed_get_set(
-                server.local_addr(),
-                credentials,
-                clients,
-                OPS_PER_CLIENT,
-                PAYLOAD_BYTES,
-            )
-            .expect("networked run");
-            secure.push(clients as f64, report.throughput_rps);
-        }
-        server.shutdown();
-    }
-    figure.add(secure);
-
-    bench::print_figure(&figure);
 }
 
-/// Appends one regression-guard row in the JSON-lines format
-/// `scripts/check_bench_regression.py` consumes. The recorded value is the
-/// *derived* ns per sub-operation — the reciprocal of aggregate throughput
-/// at the sweep's highest client count, gated on the slowest worker — not a
-/// sampled latency median; the benchmark key spells that out (the field
-/// name stays `median_ns` because the guard script keys on it).
+/// The recorded value is the *derived* ns per sub-operation — the reciprocal
+/// of aggregate throughput, gated on the slowest worker — not a sampled
+/// latency median; the benchmark key spells that out.
 fn append_derived_ns_row(path: &str, benchmark: &str, report: &NetRunReport) {
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_JSON output");
-    let ns_per_op = 1e9 / report.throughput_rps.max(f64::MIN_POSITIVE);
-    writeln!(file, "{{\"benchmark\":\"{benchmark}\",\"median_ns\":{ns_per_op:.1}}}")
-        .expect("write BENCH_JSON row");
-}
-
-fn append_multi_json(path: &str, batch: usize, label: &str, report: &NetRunReport) {
-    let clients = report.clients;
-    let key = format!("fig06/multi_batch{batch}_derived_ns_per_subop_{clients}clients/{label}");
-    append_derived_ns_row(path, &key, report);
+    bench::append_bench_row(path, benchmark, 1e9 / report.throughput_rps.max(f64::MIN_POSITIVE));
 }
 
 fn run_multi_mode(batch: usize) {
@@ -139,70 +78,40 @@ fn run_multi_mode(batch: usize) {
         "batched writes amortize one wire round-trip and one agreement round over N sub-ops",
     );
     let json_path = std::env::var("BENCH_JSON").ok();
-    let client_counts = [1usize, 2, 4, 8, 16];
     let mut figure = Figure::new(
         format!("Figure 6 (multi, batch={batch}) — sub-operations/s on loopback"),
         "Client Connections",
         "Sub-ops/s",
     );
-
-    // Vanilla ZooKeeper: plain transport, passthrough interceptor.
-    let mut native = Series::new("zookeeper (measured)");
-    let mut native_last: Option<NetRunReport> = None;
-    {
-        let replica = Arc::new(ZkReplica::new(1).with_clock(Arc::new(MonotonicClock::new())));
-        let server = ZkTcpServer::bind("127.0.0.1:0", replica).expect("bind loopback");
-        for &clients in &client_counts {
+    let mut last = Vec::new();
+    for (variant, label) in BATCH_VARIANTS {
+        let server = LiveServer::start(variant);
+        let mut series = Series::new(variant.label());
+        let mut report = None;
+        for clients in [1usize, 2, 4, 8, 16] {
             let spec = MultiSpec::batched_writes(batch, PAYLOAD_BYTES, clients);
-            let credentials: Arc<dyn SessionCredentials> = Arc::new(PlainCredentials);
-            let report =
-                run_multi_batches(server.local_addr(), credentials, TXNS_PER_CLIENT, &spec)
-                    .expect("networked multi run");
-            native.push(clients as f64, report.throughput_rps);
-            native_last = Some(report);
+            let run = run_multi_batches(&server, TXNS_PER_CLIENT, &spec)
+                .unwrap_or_else(|err| panic!("{variant} multi run failed: {err}"));
+            series.push(clients as f64, run.throughput_rps);
+            report = Some(run);
         }
         server.shutdown();
+        figure.add(series);
+        last.push((label, report.expect("the sweep has points")));
     }
-    figure.add(native);
-
-    // SecureKeeper: per-sub-op encryption in the entry enclave.
-    let mut secure = Series::new("securekeeper (measured)");
-    let mut secure_last: Option<NetRunReport> = None;
-    {
-        let config = SecureKeeperConfig::with_label("fig06-multi");
-        let (replica, _interceptor, _counter) = secure_standalone(&config);
-        let server = ZkTcpServer::bind("127.0.0.1:0", replica).expect("bind loopback");
-        for &clients in &client_counts {
-            let spec = MultiSpec::batched_writes(batch, PAYLOAD_BYTES, clients);
-            let credentials: Arc<dyn SessionCredentials> = Arc::new(SecureSessionCredentials);
-            let report =
-                run_multi_batches(server.local_addr(), credentials, TXNS_PER_CLIENT, &spec)
-                    .expect("networked multi run");
-            secure.push(clients as f64, report.throughput_rps);
-            secure_last = Some(report);
-        }
-        server.shutdown();
-    }
-    figure.add(secure);
-
     bench::print_figure(&figure);
-    if let (Some(path), Some(native), Some(secure)) = (&json_path, &native_last, &secure_last) {
-        append_multi_json(path, batch, "plain", native);
-        append_multi_json(path, batch, "secure", secure);
+    if let Some(path) = &json_path {
+        for (label, report) in &last {
+            let clients = report.clients;
+            let key =
+                format!("fig06/multi_batch{batch}_derived_ns_per_subop_{clients}clients/{label}");
+            append_derived_ns_row(path, &key, report);
+        }
         println!(
             "BENCH_JSON: recorded batch={batch} plain {:.0} sub-ops/s vs secure {:.0} sub-ops/s",
-            native.throughput_rps, secure.throughput_rps
+            last[0].1.throughput_rps, last[1].1.throughput_rps
         );
     }
-}
-
-/// Appends one regression-guard row per (recipe, variant), keyed like the
-/// `--multi` rows (derived ns per sub-operation at the sweep's client count).
-fn append_recipe_json(path: &str, recipe: RecipeKind, label: &str, report: &NetRunReport) {
-    let clients = report.clients;
-    let key =
-        format!("fig06/recipe_{}_derived_ns_per_subop_{clients}clients/{label}", recipe.label());
-    append_derived_ns_row(path, &key, report);
 }
 
 fn run_recipes_mode() {
@@ -212,54 +121,36 @@ fn run_recipes_mode() {
     );
     let json_path = std::env::var("BENCH_JSON").ok();
     let clients = 16usize;
-    let recipes =
-        [RecipeSpec::atomic_rename(PAYLOAD_BYTES, clients), RecipeSpec::cas_counter(clients)];
-
-    for spec in recipes {
+    for spec in
+        [RecipeSpec::atomic_rename(PAYLOAD_BYTES, clients), RecipeSpec::cas_counter(clients)]
+    {
+        let recipe = spec.kind.label();
         let mut figure = Figure::new(
-            format!("Figure 6 (recipe: {}) — sub-operations/s on loopback", spec.kind.label()),
+            format!("Figure 6 (recipe: {recipe}) — sub-operations/s on loopback"),
             "Variant",
             "Sub-ops/s",
         );
-
-        let mut native = Series::new("zookeeper (measured)");
-        let native_report = {
-            let replica = Arc::new(ZkReplica::new(1).with_clock(Arc::new(MonotonicClock::new())));
-            let server = ZkTcpServer::bind("127.0.0.1:0", replica).expect("bind loopback");
-            let credentials: Arc<dyn SessionCredentials> = Arc::new(PlainCredentials);
-            let report = run_recipes(server.local_addr(), credentials, TXNS_PER_CLIENT, &spec)
-                .expect("networked recipe run");
+        let mut rps = Vec::new();
+        for (variant, label) in BATCH_VARIANTS {
+            let server = LiveServer::start(variant);
+            let report = run_recipes(&server, TXNS_PER_CLIENT, &spec)
+                .unwrap_or_else(|err| panic!("{variant} {recipe} recipe run failed: {err}"));
             server.shutdown();
-            report
-        };
-        native.push(clients as f64, native_report.throughput_rps);
-        figure.add(native);
-
-        let mut secure = Series::new("securekeeper (measured)");
-        let secure_report = {
-            let config = SecureKeeperConfig::with_label("fig06-recipes");
-            let (replica, _interceptor, _counter) = secure_standalone(&config);
-            let server = ZkTcpServer::bind("127.0.0.1:0", replica).expect("bind loopback");
-            let credentials: Arc<dyn SessionCredentials> = Arc::new(SecureSessionCredentials);
-            let report = run_recipes(server.local_addr(), credentials, TXNS_PER_CLIENT, &spec)
-                .expect("networked recipe run");
-            server.shutdown();
-            report
-        };
-        secure.push(clients as f64, secure_report.throughput_rps);
-        figure.add(secure);
-
+            let mut series = Series::new(variant.label());
+            series.push(clients as f64, report.throughput_rps);
+            figure.add(series);
+            rps.push(report.throughput_rps);
+            if let Some(path) = &json_path {
+                let key =
+                    format!("fig06/recipe_{recipe}_derived_ns_per_subop_{clients}clients/{label}");
+                append_derived_ns_row(path, &key, &report);
+            }
+        }
         bench::print_figure(&figure);
         println!(
-            "recipe {}: plain {:.0} sub-ops/s vs secure {:.0} sub-ops/s ({clients} clients)",
-            spec.kind.label(),
-            native_report.throughput_rps,
-            secure_report.throughput_rps
+            "recipe {recipe}: plain {:.0} sub-ops/s vs secure {:.0} sub-ops/s ({clients} clients)",
+            rps[0], rps[1]
         );
-        if let Some(path) = &json_path {
-            append_recipe_json(path, spec.kind, "plain", &native_report);
-            append_recipe_json(path, spec.kind, "secure", &secure_report);
-        }
     }
 }
 
@@ -267,53 +158,14 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|arg| arg == "--recipes") {
         run_recipes_mode();
-        return;
-    }
-    if let Some(position) = args.iter().position(|arg| arg == "--multi") {
+    } else if let Some(position) = args.iter().position(|arg| arg == "--multi") {
         let batch = args
             .get(position + 1)
             .and_then(|value| value.parse::<usize>().ok())
             .unwrap_or(8)
             .max(1);
         run_multi_mode(batch);
-        return;
+    } else {
+        run_scaling();
     }
-    if std::env::args().any(|arg| arg == "--net") {
-        run_networked_mode();
-        return;
-    }
-    bench::print_header(
-        "Figure 6 — throughput of the 70:30 mix vs number of client threads",
-        "paper §6.1, Figures 6a/6b: sync saturates around 300 threads, async around 5",
-    );
-    let model = ServiceCostModel::default();
-    let mix = ServiceCostModel::paper_mix();
-
-    let mut sync_figure =
-        Figure::new("Figure 6a — synchronous requests", "Client Threads", "Requests/s");
-    for variant in Variant::all() {
-        let mut series = Series::new(variant.label());
-        for clients in [1usize, 50, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000] {
-            series.push(
-                clients as f64,
-                model.mixed_throughput_rps(variant, &mix, 1024, RequestMode::Synchronous, clients),
-            );
-        }
-        sync_figure.add(series);
-    }
-    bench::print_figure(&sync_figure);
-
-    let mut async_figure =
-        Figure::new("Figure 6b — asynchronous requests", "Client Threads", "Requests/s");
-    for variant in Variant::all() {
-        let mut series = Series::new(variant.label());
-        for clients in 2usize..=16 {
-            series.push(
-                clients as f64,
-                model.mixed_throughput_rps(variant, &mix, 1024, RequestMode::Asynchronous, clients),
-            );
-        }
-        async_figure.add(series);
-    }
-    bench::print_figure(&async_figure);
 }

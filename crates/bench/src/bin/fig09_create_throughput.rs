@@ -1,8 +1,7 @@
 //! Figure 9: CREATE throughput (regular and sequential znodes) versus payload
-//! size — sequential creates additionally pass through the counter enclave on
-//! the leader.
+//! size, measured over loopback TCP. Sequential creates under SecureKeeper
+//! additionally pass through the counter enclave.
 
-use workload::costmodel::ServiceCostModel;
 use workload::metrics::{Figure, Series};
 use workload::variant::{OpKind, RequestMode, Variant};
 
@@ -11,37 +10,19 @@ fn main() {
         "Figure 9 — throughput of CREATE requests (regular and sequential)",
         "paper §6.2, Figures 9a/9b",
     );
-    let model = ServiceCostModel::default();
-    for (caption, mode, clients) in [
-        ("Figure 9a — synchronous requests", RequestMode::Synchronous, 300usize),
-        ("Figure 9b — asynchronous requests", RequestMode::Asynchronous, 5usize),
+    for (caption, mode) in [
+        ("Figure 9a — synchronous requests", RequestMode::Synchronous),
+        ("Figure 9b — asynchronous requests", RequestMode::Asynchronous),
     ] {
         let mut figure = Figure::new(caption, "Payload [Byte]", "Requests/s");
-        for variant in Variant::all() {
-            let mut series = Series::new(variant.label());
+        let series = Variant::all().map(|variant| (variant, OpKind::Create, variant.label()));
+        let sequential = (Variant::SecureKeeper, OpKind::CreateSequential, "SecureKeeper (seq.)");
+        for (variant, op, label) in series.into_iter().chain([sequential]) {
+            let mut series = Series::new(label);
             for &payload in &bench::payload_sweep() {
-                series.push(
-                    payload as f64,
-                    model.throughput_rps(variant, OpKind::Create, payload, mode, clients),
-                );
+                series.push(payload as f64, bench::measure_op(variant, op, payload, mode));
             }
             figure.add(series);
-            if variant == Variant::SecureKeeper {
-                let mut seq = Series::new("SecureKeeper (seq.)");
-                for &payload in &bench::payload_sweep() {
-                    seq.push(
-                        payload as f64,
-                        model.throughput_rps(
-                            variant,
-                            OpKind::CreateSequential,
-                            payload,
-                            mode,
-                            clients,
-                        ),
-                    );
-                }
-                figure.add(seq);
-            }
         }
         bench::print_figure(&figure);
     }

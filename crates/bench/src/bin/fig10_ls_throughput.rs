@@ -1,34 +1,23 @@
-//! Figure 10: LS (getChildren) throughput versus payload size — under
-//! SecureKeeper every listed child name must be decrypted individually.
+//! Figure 10: LS (getChildren) throughput versus payload size, measured over
+//! loopback TCP. Under SecureKeeper every listed child name must be
+//! decrypted individually.
 
-use workload::costmodel::ServiceCostModel;
-use workload::metrics::{Figure, Series};
-use workload::variant::{OpKind, RequestMode, Variant};
+use workload::variant::{OpKind, RequestMode};
 
 fn main() {
     bench::print_header(
         "Figure 10 — throughput of sync. and async. LS requests",
         "paper §6.2, Figure 10: the per-child path decryption makes LS the costliest read",
     );
-    let model = ServiceCostModel::default();
-    let mut figure =
-        Figure::new("Figure 10 — LS throughput vs payload", "Payload [Byte]", "Requests/s");
-    for mode in [RequestMode::Synchronous, RequestMode::Asynchronous] {
-        for variant in Variant::all() {
-            let mut series = Series::new(format!("{} {}", variant.label(), mode.label()));
-            for payload in [0usize, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100] {
-                let clients = if mode == RequestMode::Synchronous { 300 } else { 5 };
-                series.push(
-                    payload as f64,
-                    model.throughput_rps(variant, OpKind::Ls, payload, mode, clients),
-                );
-            }
-            figure.add(series);
-        }
-    }
+    let figure = bench::throughput_vs_payload(
+        "Figure 10 — LS throughput vs payload",
+        OpKind::Ls,
+        &[0, 20, 40, 60, 80, 100],
+    );
     bench::print_figure(&figure);
     println!(
-        "(the model lists {} children per LS call, as in the evaluation setup)",
-        model.ls_children
+        "(each LS lists the parent of the clients' znodes: {} children in sync runs, {} in async)",
+        bench::clients(RequestMode::Synchronous),
+        bench::clients(RequestMode::Asynchronous)
     );
 }

@@ -1,9 +1,8 @@
 //! Figure 11: YCSB-style mixed synchronous read/write workload, throughput
-//! versus payload size, plus a real (measured) YCSB run against the in-process
-//! clusters at a reduced operation count.
+//! versus payload size, measured over loopback TCP for all three variants.
 
-use workload::costmodel::ServiceCostModel;
 use workload::metrics::{Figure, Series};
+use workload::netdriver::{run_ycsb, LiveServer};
 use workload::variant::{RequestMode, Variant};
 use workload::ycsb::YcsbWorkload;
 
@@ -12,27 +11,32 @@ fn main() {
         "Figure 11 — YCSB mixed synchronous workload",
         "paper §6.2, Figure 11: 35 threads, mixed reads/writes, 500k operations",
     );
-    let model = ServiceCostModel::default();
-    let workload = YcsbWorkload::default();
-    let mix = workload.mix();
-
+    let mode = RequestMode::Synchronous;
+    let (clients, ops) = (bench::clients(mode), bench::ops_per_client(mode));
     let mut figure =
         Figure::new("Figure 11 — YCSB throughput vs payload", "Payload [Byte]", "Requests/s");
     for variant in Variant::all() {
         let mut series = Series::new(variant.label());
         for &payload in &bench::payload_sweep() {
-            series.push(
-                payload as f64,
-                model.mixed_throughput_rps(variant, &mix, payload, RequestMode::Synchronous, 35),
-            );
+            let workload = YcsbWorkload { payload, ..YcsbWorkload::default() };
+            let rps = bench::median_of_runs(|| {
+                let server = LiveServer::start(variant);
+                let report = run_ycsb(&server, &workload, clients, ops, mode)
+                    .unwrap_or_else(|err| panic!("{variant} YCSB at {payload} B failed: {err}"));
+                server.shutdown();
+                report.throughput_rps
+            });
+            series.push(payload as f64, rps);
         }
         figure.add(series);
     }
     bench::print_figure(&figure);
-
-    println!("zipfian record selection sanity check (theta = {:.2}):", workload.zipf_theta);
-    let ops = workload.generate(20_000);
-    let hot = ops.iter().filter(|o| o.record < workload.record_count / 10).count() as f64
-        / ops.len() as f64;
-    println!("  hottest 10% of records receive {:.0}% of the accesses", hot * 100.0);
+    let workload = YcsbWorkload::default();
+    println!(
+        "({clients} synchronous clients, {ops} operations each, {:.0}% reads, Zipfian theta {:.2} \
+         over {} records)",
+        workload.read_proportion * 100.0,
+        workload.zipf_theta,
+        workload.record_count
+    );
 }

@@ -1,29 +1,30 @@
-//! Figure 12 (networked): measured throughput over time while the *leader*
-//! of a live 3-replica TCP ensemble crashes — the real-socket counterpart of
-//! the analytic `fig12_fault_tolerance` timeline.
+//! Figure 12: measured throughput over time while a member of a live
+//! 3-replica TCP ensemble crashes — the leader (12a: an outage until a new
+//! leader serves) and a follower (12b: only the loss of one member).
 //!
-//! Both variants run on loopback: a vanilla ensemble (plain wire, local
-//! reads, forwarded writes) and a SecureKeeper ensemble (entry-enclave
-//! interceptor on every replica, clients with replayable session keys that
-//! survive the failover). The harness reports the pre-crash steady state,
-//! the depth of the outage, and the time until throughput recovers.
+//! All three variants run on loopback: vanilla members (plain wire, local
+//! reads, forwarded writes), TLS-ZK members (transport encryption terminated
+//! in the replica) and SecureKeeper members (entry-enclave interceptor on
+//! every replica). Encrypted clients present replayable session keys that
+//! survive the failover. Every reply is checked; anything but a lost member
+//! panics. The harness reports the pre-crash steady state, the depth of the
+//! outage, and the time until throughput recovers.
 //!
-//! When `BENCH_JSON` is set, the key metrics are appended to that file as
-//! JSON lines compatible with `scripts/check_bench_regression.py` (the
-//! `ensemble-e2e` CI job archives them as `BENCH_ensemble.json`).
+//! When `BENCH_JSON` is set, the leader-crash metrics of the plain and
+//! SecureKeeper ensembles are appended to that file as JSON lines compatible
+//! with `scripts/check_bench_regression.py` (the `ensemble-bench` CI job
+//! archives them as `BENCH_ensemble.json`).
 
-use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use securekeeper::integration::{secure_ensemble_replica, SecureKeeperConfig};
 use securekeeper::ReplayableSessionCredentials;
 use workload::failover::{run_failover, FailoverReport, FailoverSpec};
+use workload::netdriver::member;
+use workload::variant::Variant;
 use zkserver::ensemble::{EnsembleConfig, ZkEnsembleServer};
 use zkserver::net::{PlainCredentials, SessionCredentials};
-use zkserver::session::MonotonicClock;
-use zkserver::ZkReplica;
 
 fn ensemble_config() -> EnsembleConfig {
     EnsembleConfig {
@@ -36,22 +37,29 @@ fn ensemble_config() -> EnsembleConfig {
     }
 }
 
-/// Runs one leader-crash experiment and returns the report plus the spec it
-/// ran under.
-fn run_variant(
-    label: &str,
-    servers: Vec<ZkEnsembleServer>,
-    credentials: &dyn Fn() -> Arc<dyn SessionCredentials>,
-) -> (FailoverReport, FailoverSpec) {
-    let mut servers = servers;
+/// Runs one crash experiment on a fresh ensemble of `variant`: member 1
+/// leads the first epoch; `crash_leader` picks it as the victim, otherwise
+/// member 3 (a follower) goes.
+fn run_variant(variant: Variant, crash_leader: bool, spec: &FailoverSpec) -> FailoverReport {
+    let mut servers =
+        ZkEnsembleServer::start_local_ensemble(3, &ensemble_config(), |id| member(variant, id))
+            .expect("bind the ensemble");
     assert!(servers[0].is_leader(), "member 1 leads the first epoch");
-    // Clients only dial the two survivors so every reconnect lands.
-    let addrs: Vec<SocketAddr> = servers[1..].iter().map(|s| s.client_addr()).collect();
-    let leader = servers.remove(0);
-    let spec = FailoverSpec::default();
-    let report = run_failover(&addrs, credentials, || leader.shutdown(), &spec);
+    // After a leader crash clients dial only the survivors, so every
+    // reconnect lands; after a follower crash they spread over all three.
+    let (victim, first_dialled) = if crash_leader { (0, 1) } else { (2, 0) };
+    let addrs: Vec<SocketAddr> = servers[first_dialled..].iter().map(|s| s.client_addr()).collect();
+    let victim = servers.remove(victim);
+    let credentials = || -> Arc<dyn SessionCredentials> {
+        match variant {
+            Variant::VanillaZk => Arc::new(PlainCredentials),
+            _ => Arc::new(ReplayableSessionCredentials::generate()),
+        }
+    };
+    let report = run_failover(&addrs, &credentials, || victim.shutdown(), spec);
 
-    println!("--- {label} ---");
+    let fault = if crash_leader { "leader" } else { "follower" };
+    println!("--- {variant}, {fault} crash ---");
     println!(
         "steady state: {:.0} req/s ({:.1} µs/op, {} clients)",
         report.pre_crash_rps,
@@ -60,12 +68,12 @@ fn run_variant(
     );
     match report.recovery {
         Some(recovery) => println!(
-            "leader crash at t={:.1}s: recovered to >=50% in {} ms, post-crash {:.0} req/s",
+            "{fault} crash at t={:.1}s: back to >=50% in {} ms, post-crash {:.0} req/s",
             report.crash_bucket as f64 * report.bucket_seconds,
             recovery.as_millis(),
             report.post_crash_rps,
         ),
-        None => println!("leader crash: ensemble did NOT recover within the run"),
+        None => println!("{fault} crash: the ensemble did NOT recover within the run"),
     }
     print!("timeline [req/s]:");
     for (bucket, rps) in report.timeline_rps.iter().enumerate() {
@@ -75,58 +83,44 @@ fn run_variant(
         print!(" {rps:.0}");
     }
     println!("\n");
-    (report, spec)
-}
-
-/// Appends regression-guard rows in the vendored-criterion JSON-lines format.
-fn append_json(path: &str, label: &str, report: &FailoverReport, spec: &FailoverSpec) {
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_JSON output");
-    let rows = [
-        (format!("ensemble/failover_recovery_ms/{label}"), report.recovery_ms(spec) * 1e6),
-        (format!("ensemble/steady_op_latency/{label}"), report.steady_op_latency.as_nanos() as f64),
-    ];
-    for (benchmark, median_ns) in rows {
-        writeln!(file, "{{\"benchmark\":\"{benchmark}\",\"median_ns\":{median_ns:.1}}}")
-            .expect("write BENCH_JSON row");
+    assert!(
+        report.recovery.is_some(),
+        "{variant} ensemble failed to recover from the {fault} crash"
+    );
+    for server in servers {
+        server.shutdown();
     }
+    report
 }
 
 fn main() {
     bench::print_header(
-        "Figure 12 (networked) — measured fault tolerance of the live TCP ensemble",
-        "paper §6.3, Figure 12a: leader failure causes a short outage until a new leader serves",
+        "Figure 12 — measured fault tolerance of the live TCP ensemble",
+        "paper §6.3, Figures 12a/12b: a leader failure causes a short outage until a new \
+         leader serves; a follower failure only removes one member",
     );
     let json_path = std::env::var("BENCH_JSON").ok();
-
-    // Vanilla ensemble.
-    let servers = ZkEnsembleServer::start_local_ensemble(3, &ensemble_config(), |id| {
-        Arc::new(ZkReplica::new(id).with_clock(Arc::new(MonotonicClock::new())))
-    })
-    .expect("bind vanilla ensemble");
-    let (report, spec) =
-        run_variant("zookeeper (plain wire)", servers, &|| Arc::new(PlainCredentials));
-    assert!(report.recovery.is_some(), "plain ensemble failed to recover from the leader crash");
-    if let Some(path) = &json_path {
-        append_json(path, "plain", &report, &spec);
-    }
-
-    // SecureKeeper ensemble: every replica runs the entry-enclave
-    // interceptor; clients replay their session key across the failover.
-    let config = SecureKeeperConfig::with_label("fig12-failover");
-    let servers = ZkEnsembleServer::start_local_ensemble(3, &ensemble_config(), move |id| {
-        let (replica, _interceptor, _counter) = secure_ensemble_replica(id, &config);
-        replica
-    })
-    .expect("bind secure ensemble");
-    let (report, spec) = run_variant("securekeeper (encrypted wire)", servers, &|| {
-        Arc::new(ReplayableSessionCredentials::generate())
-    });
-    assert!(report.recovery.is_some(), "secure ensemble failed to recover from the leader crash");
-    if let Some(path) = &json_path {
-        append_json(path, "secure", &report, &spec);
+    let spec = FailoverSpec::default();
+    for crash_leader in [true, false] {
+        for variant in Variant::all() {
+            let report = run_variant(variant, crash_leader, &spec);
+            let label = match variant {
+                Variant::VanillaZk => "plain",
+                Variant::TlsZk => continue,
+                Variant::SecureKeeper => "secure",
+            };
+            if let (true, Some(path)) = (crash_leader, &json_path) {
+                bench::append_bench_row(
+                    path,
+                    &format!("ensemble/failover_recovery_ms/{label}"),
+                    report.recovery_ms(&spec) * 1e6,
+                );
+                bench::append_bench_row(
+                    path,
+                    &format!("ensemble/steady_op_latency/{label}"),
+                    report.steady_op_latency.as_nanos() as f64,
+                );
+            }
+        }
     }
 }

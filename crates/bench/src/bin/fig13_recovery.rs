@@ -20,7 +20,6 @@
 //! `BENCH_persist.json` baseline.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -131,20 +130,6 @@ fn run_variant(label: &str, config: PersistConfig) -> Duration {
     elapsed
 }
 
-fn append_json(path: &str, label: &str, elapsed: Duration) {
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_JSON output");
-    writeln!(
-        file,
-        "{{\"benchmark\":\"persist/recovery_ms/{label}\",\"median_ns\":{:.1}}}",
-        elapsed.as_nanos() as f64
-    )
-    .expect("write BENCH_JSON row");
-}
-
 fn main() {
     bench::print_header(
         "Figure 13 — crash-recovery time: snapshot + suffix vs full log replay",
@@ -167,7 +152,7 @@ fn main() {
         baseline.as_secs_f64() * 1e3,
     );
     if let Some(path) = &json_path {
-        append_json(path, "log_replay", baseline);
-        append_json(path, "snapshot", snapshot);
+        bench::append_bench_row(path, "persist/recovery_ms/log_replay", baseline.as_nanos() as f64);
+        bench::append_bench_row(path, "persist/recovery_ms/snapshot", snapshot.as_nanos() as f64);
     }
 }

@@ -26,7 +26,6 @@
 //! With `BENCH_JSON` set, p99 and derived ns/op rows are appended in the
 //! regression-guard JSON-lines format (`scripts/check_bench_regression.py`).
 
-use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -193,16 +192,6 @@ fn run_variant(
     VariantResult { label, clients: count, idle, active, transport_threads }
 }
 
-fn append_json_row(path: &str, benchmark: &str, value_ns: f64) {
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_JSON output");
-    writeln!(file, "{{\"benchmark\":\"{benchmark}\",\"median_ns\":{value_ns:.1}}}")
-        .expect("write BENCH_JSON row");
-}
-
 fn report(result: &VariantResult, json_path: Option<&str>) {
     println!(
         "{}: {} connections held on {} transport threads",
@@ -223,12 +212,12 @@ fn report(result: &VariantResult, json_path: Option<&str>) {
     if let Some(path) = json_path {
         let clients = result.clients;
         let label = result.label;
-        append_json_row(
+        bench::append_bench_row(
             path,
             &format!("fig14/active_read_p99_ns_{clients}conns/{label}"),
             result.active.p99_ns as f64,
         );
-        append_json_row(
+        bench::append_bench_row(
             path,
             &format!("fig14/active_read_derived_ns_per_op_{clients}conns/{label}"),
             1e9 / result.active.throughput_rps().max(f64::MIN_POSITIVE),

@@ -37,7 +37,6 @@
 //! the regression-guard JSON-lines format
 //! (`scripts/check_bench_regression.py`, baseline `BENCH_sharding.json`).
 
-use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -342,16 +341,6 @@ fn latency_probes(
     (median(&mut gateway_samples), median(&mut direct_samples))
 }
 
-fn append_json_row(path: &str, benchmark: &str, value_ns: f64) {
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_JSON output");
-    writeln!(file, "{{\"benchmark\":\"{benchmark}\",\"median_ns\":{value_ns:.1}}}")
-        .expect("write BENCH_JSON row");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let shard_counts: Vec<usize> = args
@@ -398,12 +387,12 @@ fn main() {
                  ({WRITERS_PER_SHARD} writers/shard x {ops} ops)"
             );
             if let Some(path) = json_path.as_deref() {
-                append_json_row(
+                bench::append_bench_row(
                     path,
                     &format!("fig15/agg_write_isolated_ns_per_op_{shard_count}shards/{label}"),
                     1e9 / isolated.max(f64::MIN_POSITIVE),
                 );
-                append_json_row(
+                bench::append_bench_row(
                     path,
                     &format!("fig15/agg_write_shared_host_ns_per_op_{shard_count}shards/{label}"),
                     1e9 / shared.max(f64::MIN_POSITIVE),
@@ -445,12 +434,12 @@ fn main() {
             direct as f64 / 1e6,
         );
         if let Some(path) = json_path.as_deref() {
-            append_json_row(
+            bench::append_bench_row(
                 path,
                 &format!("fig15/write_latency_median_ns_gateway_1shard/{label}"),
                 via_gateway as f64,
             );
-            append_json_row(
+            bench::append_bench_row(
                 path,
                 &format!("fig15/write_latency_median_ns_direct/{label}"),
                 direct as f64,

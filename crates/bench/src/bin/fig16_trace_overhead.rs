@@ -30,7 +30,6 @@
 //! (`scripts/check_bench_regression.py`, baseline `BENCH_trace.json`).
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -193,16 +192,6 @@ fn run_mode(mode: Mode, pairs: usize) -> ModeResult {
     ModeResult { on_ns, off_ns, overhead_pct: (on_ns / off_ns - 1.0) * 100.0, stages }
 }
 
-fn append_json_row(path: &str, benchmark: &str, value_ns: f64) {
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_JSON output");
-    writeln!(file, "{{\"benchmark\":\"{benchmark}\",\"median_ns\":{value_ns:.1}}}")
-        .expect("write BENCH_JSON row");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let pairs = args
@@ -231,12 +220,12 @@ fn main() {
             result.overhead_pct,
         );
         if let Some(path) = json_path.as_deref() {
-            append_json_row(
+            bench::append_bench_row(
                 path,
                 &format!("fig16/set_ns_per_op_recorder_on/{label}"),
                 result.on_ns,
             );
-            append_json_row(
+            bench::append_bench_row(
                 path,
                 &format!("fig16/set_ns_per_op_recorder_off/{label}"),
                 result.off_ns,

@@ -1,23 +1,29 @@
-//! Throughput-over-time measurement across an injected replica crash — the
-//! *live* variant of the Figure 12 fault-tolerance experiment.
+//! Throughput over time across an injected replica crash (Figure 12),
+//! measured against a live networked ensemble
+//! ([`zkserver::ensemble::ZkEnsembleServer`]).
 //!
-//! [`crate::faults`] models the failover timeline analytically; this module
-//! measures it against a real networked ensemble
-//! ([`zkserver::ensemble::ZkEnsembleServer`]): N client threads push a 70:30
-//! GET/SET mix over real sockets, reconnecting to surviving members whenever
-//! their connection dies, while the harness samples completed operations in
-//! fixed time buckets and injects a crash at a configured instant. The
-//! resulting timeline shows the throughput dip during leader election and
-//! the recovery once a new leader serves writes.
+//! N client threads send the paper's 70:30 GET/SET mix over real sockets
+//! through `netdriver::drive`, which checks every reply. When a
+//! member goes away, a client reconnects to a surviving one; any other
+//! failed check panics. The harness samples completed operations in fixed
+//! time buckets and injects the crash at a configured instant. A leader
+//! crash shows the dip during the election and the recovery once a new
+//! leader serves writes; a follower crash shows only the loss of a member.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use jute::records::CreateMode;
 use zkserver::net::SessionCredentials;
 use zkserver::{ZkError, ZkTcpClient};
+
+use crate::generator::WorkloadSpec;
+use crate::netdriver::{create_all, drive, ReplyCheck};
+
+/// Operations generated per client; a client cycles through them until the
+/// run ends.
+const OPS_PER_CYCLE: usize = 1_000;
 
 /// Shape of one failover run.
 #[derive(Debug, Clone)]
@@ -80,10 +86,10 @@ impl FailoverReport {
     }
 }
 
-/// Runs the failover experiment: client threads hammer the ensemble at
-/// `addrs` (failing over between addresses on connection loss), `crash` is
-/// invoked once the pre-crash window elapses, and the run continues for the
-/// post-crash window.
+/// Runs the failover experiment: client threads load the ensemble at
+/// `addrs` (failing over between addresses when a member goes away), `crash`
+/// is invoked once the pre-crash window elapses, and the run continues for
+/// the post-crash window.
 ///
 /// `credentials` yields the per-connection session credentials — pass
 /// sticky/replayable credentials to model secure sessions surviving the
@@ -91,118 +97,108 @@ impl FailoverReport {
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics or the initial connections fail.
+/// Panics if the workload's znodes cannot be created, or if a client gets an
+/// error reply or a wrong payload that a lost member does not explain.
 pub fn run_failover(
     addrs: &[SocketAddr],
     credentials: &dyn Fn() -> Arc<dyn SessionCredentials>,
-    crash: impl FnOnce(),
+    crash: impl FnOnce() + Send,
     spec: &FailoverSpec,
 ) -> FailoverReport {
     assert!(!addrs.is_empty(), "the ensemble has no client addresses");
-    let stop = Arc::new(AtomicBool::new(false));
-    let completed = Arc::new(AtomicU64::new(0));
-    let latency_ns = Arc::new(AtomicU64::new(0));
-    let latency_samples = Arc::new(AtomicU64::new(0));
-    let sample_latency = Arc::new(AtomicBool::new(true));
-
-    let mut workers = Vec::with_capacity(spec.clients);
-    for t in 0..spec.clients {
-        let addrs = addrs.to_vec();
-        let credentials = credentials();
-        let stop = Arc::clone(&stop);
-        let completed = Arc::clone(&completed);
-        let latency_ns = Arc::clone(&latency_ns);
-        let latency_samples = Arc::clone(&latency_samples);
-        let sample_latency = Arc::clone(&sample_latency);
-        let payload = vec![0x5a; spec.payload_bytes];
-        workers.push(std::thread::spawn(move || {
-            let next_addr = AtomicUsize::new(t % addrs.len());
-            let connect = |started_at: &AtomicUsize| -> Option<ZkTcpClient> {
-                for _ in 0..addrs.len() {
-                    let index = started_at.fetch_add(1, Ordering::Relaxed) % addrs.len();
-                    if let Ok(client) =
-                        ZkTcpClient::connect_with(addrs[index], Arc::clone(&credentials), 30_000)
-                    {
-                        return Some(client);
-                    }
-                }
-                None
-            };
-            let path = format!("/failover-{t}");
-            let mut client: Option<ZkTcpClient> = None;
-            let mut created = false;
-            let mut op = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                let Some(active) = client.as_mut() else {
-                    client = connect(&next_addr);
-                    if client.is_none() {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    continue;
-                };
-                let started = Instant::now();
-                let result = if !created {
-                    match active.create(&path, payload.clone(), CreateMode::Persistent) {
-                        Ok(_) | Err(ZkError::NodeExists { .. }) => {
-                            created = true;
-                            Ok(())
-                        }
-                        Err(err) => Err(err),
-                    }
-                } else if op % 10 < 7 {
-                    active.get_data(&path, false).map(|_| ())
-                } else {
-                    active.set_data(&path, payload.clone(), -1).map(|_| ())
-                };
-                match result {
-                    Ok(()) => {
-                        op += 1;
-                        completed.fetch_add(1, Ordering::Relaxed);
-                        if sample_latency.load(Ordering::Relaxed) {
-                            latency_ns
-                                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            latency_samples.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    // NoQuorum/connection errors: drop the connection and
-                    // fail over to the next address.
-                    Err(_) => {
-                        client = None;
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                }
-            }
-        }));
+    let workload = WorkloadSpec::paper_mix(spec.payload_bytes, spec.clients);
+    let mut admin = ZkTcpClient::connect_with(addrs[0], credentials(), 30_000)
+        .expect("connect the setup session");
+    create_all(&mut admin, &workload.setup_requests(0)).expect("create the workload's znodes");
+    admin.close();
+    let mut per_client = vec![Vec::new(); spec.clients];
+    for op in workload.generate(spec.clients * OPS_PER_CYCLE) {
+        per_client[op.client].push(op.request);
     }
+
+    let stop = AtomicBool::new(false);
+    let completed = AtomicU64::new(0);
+    let latency_ns = AtomicU64::new(0);
+    let latency_samples = AtomicU64::new(0);
+    let sample_latency = AtomicBool::new(true);
+    let worker = |t: usize, credentials: Arc<dyn SessionCredentials>| {
+        let mut next_addr = t;
+        let mut check = ReplyCheck::new(spec.payload_bytes, 0, true);
+        let mut client: Option<ZkTcpClient> = None;
+        let mut requests = per_client[t].iter().cycle();
+        while !stop.load(Ordering::Relaxed) {
+            let Some(active) = client.as_mut() else {
+                client = (0..addrs.len()).find_map(|_| {
+                    let addr = addrs[next_addr % addrs.len()];
+                    next_addr += 1;
+                    ZkTcpClient::connect_with(addr, Arc::clone(&credentials), 30_000).ok()
+                });
+                if client.is_none() {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                continue;
+            };
+            let request = requests.next().expect("the cycle never ends");
+            let started = Instant::now();
+            match drive(active, std::slice::from_ref(request), 1, &mut check) {
+                Ok(()) => {
+                    completed.fetch_add(1, Ordering::Relaxed);
+                    if sample_latency.load(Ordering::Relaxed) {
+                        latency_ns
+                            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        latency_samples.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                // The member went away or lost its quorum: fail over to the
+                // next address. A write whose reply was lost may or may not
+                // have landed, so what this client wrote is unknown now.
+                Err(
+                    ZkError::ConnectionLoss { .. }
+                    | ZkError::NoQuorum
+                    | ZkError::SessionExpired { .. },
+                ) => {
+                    client = None;
+                    check.forget_writes();
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                Err(err) => panic!("failover client {t}: {err}"),
+            }
+        }
+    };
 
     // Sample the completed-op counter per bucket; inject the crash on time.
     let warmup_buckets = ratio_ceil(spec.warmup, spec.bucket);
     let pre_buckets = warmup_buckets + ratio_ceil(spec.pre_crash, spec.bucket);
     let post_buckets = ratio_ceil(spec.post_crash, spec.bucket);
-    let mut timeline_rps = Vec::with_capacity(pre_buckets + post_buckets);
     let bucket_seconds = spec.bucket.as_secs_f64();
-    let mut last_count = 0u64;
-    let mut crash = Some(crash);
-    for bucket in 0..pre_buckets + post_buckets {
-        if bucket == pre_buckets {
-            // Freeze the steady-state latency sample and pull the plug.
-            sample_latency.store(false, Ordering::Relaxed);
-            if let Some(crash) = crash.take() {
-                crash();
-            }
+    let timeline_rps = std::thread::scope(|scope| {
+        for t in 0..spec.clients {
+            let (worker, credentials) = (&worker, credentials());
+            scope.spawn(move || worker(t, credentials));
         }
-        std::thread::sleep(spec.bucket);
-        let count = completed.load(Ordering::Relaxed);
-        timeline_rps.push((count - last_count) as f64 / bucket_seconds);
-        last_count = count;
-    }
-    stop.store(true, Ordering::Relaxed);
-    for worker in workers {
-        worker.join().expect("failover worker panicked");
-    }
+        let mut timeline_rps = Vec::with_capacity(pre_buckets + post_buckets);
+        let mut last_count = 0u64;
+        let mut crash = Some(crash);
+        for bucket in 0..pre_buckets + post_buckets {
+            if bucket == pre_buckets {
+                // Freeze the steady-state latency sample and pull the plug —
+                // on its own thread, since stopping a member can take longer
+                // than a bucket and the sampler must stay on schedule.
+                sample_latency.store(false, Ordering::Relaxed);
+                if let Some(crash) = crash.take() {
+                    scope.spawn(crash);
+                }
+            }
+            std::thread::sleep(spec.bucket);
+            let count = completed.load(Ordering::Relaxed);
+            timeline_rps.push((count - last_count) as f64 / bucket_seconds);
+            last_count = count;
+        }
+        stop.store(true, Ordering::Relaxed);
+        timeline_rps
+    });
 
-    let pre_window = &timeline_rps[warmup_buckets..pre_buckets];
-    let pre_crash_rps = mean(pre_window);
+    let pre_crash_rps = mean(&timeline_rps[warmup_buckets..pre_buckets]);
     let recovery_threshold = pre_crash_rps * 0.5;
     let recovery = timeline_rps[pre_buckets..]
         .iter()
@@ -281,5 +277,32 @@ mod tests {
             report.timeline_rps.len(),
             report.crash_bucket + ratio_ceil(spec.post_crash, spec.bucket)
         );
+    }
+
+    #[test]
+    fn follower_crash_on_a_tls_ensemble_never_stops_service() {
+        use crate::netdriver::{credentials, member};
+        use crate::variant::Variant;
+
+        let mut servers = ZkEnsembleServer::start_local_ensemble(3, &fast_config(), |id| {
+            member(Variant::TlsZk, id)
+        })
+        .unwrap();
+        // Clients spread over every member; those on the crashed follower
+        // fail over to the others.
+        let addrs: Vec<SocketAddr> = servers.iter().map(|s| s.client_addr()).collect();
+        let follower = servers.remove(2);
+        let spec = FailoverSpec {
+            clients: 3,
+            warmup: Duration::from_millis(200),
+            pre_crash: Duration::from_millis(400),
+            post_crash: Duration::from_millis(800),
+            ..FailoverSpec::default()
+        };
+        let report =
+            run_failover(&addrs, &|| credentials(Variant::TlsZk), || follower.shutdown(), &spec);
+        assert!(report.pre_crash_rps > 0.0, "no throughput before the crash");
+        assert!(report.post_crash_rps > 0.0, "no throughput after the crash: {report:?}");
+        assert!(report.recovery.is_some(), "{report:?}");
     }
 }

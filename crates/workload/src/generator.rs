@@ -55,35 +55,58 @@ impl WorkloadSpec {
         "/bench"
     }
 
-    /// Requests that set up the tree: the `/bench` parent plus one znode per
-    /// client, as in the paper ("initially, for both GET and SET we create one
-    /// znode for each client thread").
-    pub fn setup_requests(&self) -> Vec<Request> {
-        let mut requests = vec![Request::Create(CreateRequest {
-            path: Self::root_path().to_string(),
-            data: Vec::new(),
-            mode: CreateMode::Persistent,
-        })];
-        for client in 0..self.clients {
-            requests.push(Request::Create(CreateRequest {
-                path: Self::client_path(client),
-                data: vec![0u8; self.payload],
-                mode: CreateMode::Persistent,
-            }));
+    /// The `index`-th node a client's CREATEs add next to its own znode.
+    fn extra_path(client: usize, index: usize) -> String {
+        format!("{}-extra-{index:06}", Self::client_path(client))
+    }
+
+    /// The `index`-th node setup creates for a client's DELETEs to remove.
+    fn victim_path(client: usize, index: usize) -> String {
+        format!("{}-victim-{index:06}", Self::client_path(client))
+    }
+
+    /// Requests that set up the tree for a run of `count` generated
+    /// operations: the `/bench` parent plus one znode per client, as in the
+    /// paper ("initially, for both GET and SET we create one znode for each
+    /// client thread"), plus, when the mix deletes, enough victim nodes per
+    /// client that every DELETE of [`WorkloadSpec::generate`] finds its
+    /// target.
+    pub fn setup_requests(&self, count: usize) -> Vec<Request> {
+        let create = |path: String, data: Vec<u8>| {
+            Request::Create(CreateRequest { path, data, mode: CreateMode::Persistent })
+        };
+        let mut requests = vec![create(Self::root_path().to_string(), Vec::new())];
+        let clients = self.clients.max(1);
+        let victims = if self.mix.iter().any(|&(op, w)| op == OpKind::Delete && w > 0.0) {
+            count.div_ceil(clients)
+        } else {
+            0
+        };
+        for client in 0..clients {
+            requests.push(create(Self::client_path(client), vec![0u8; self.payload]));
+            for index in 0..victims {
+                requests.push(create(Self::victim_path(client, index), Vec::new()));
+            }
         }
         requests
     }
 
     /// Generates `count` operations according to the mix. Each operation is
     /// attributed to a client thread round-robin, targeting that client's
-    /// znode (CREATE/DELETE operations target fresh children instead).
+    /// znode. CREATEs add fresh nodes next to it; a DELETE removes the
+    /// newest node the same client created and has not deleted yet, or,
+    /// with none left, the client's next victim from
+    /// [`WorkloadSpec::setup_requests`].
     pub fn generate(&self, count: usize) -> Vec<GeneratedOp> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let total_weight: f64 = self.mix.iter().map(|(_, w)| w).sum();
+        let clients = self.clients.max(1);
+        let mut created: Vec<Vec<String>> = vec![Vec::new(); clients];
+        let mut next_extra = vec![0usize; clients];
+        let mut next_victim = vec![0usize; clients];
         let mut ops = Vec::with_capacity(count);
-        let mut create_counter = 0usize;
         for i in 0..count {
-            let client = i % self.clients.max(1);
+            let client = i % clients;
             let mut pick = rng.gen_range(0.0..total_weight);
             let mut chosen = self.mix[0].0;
             for &(op, weight) in &self.mix {
@@ -106,9 +129,11 @@ impl WorkloadSpec {
                     watch: false,
                 }),
                 OpKind::Create => {
-                    create_counter += 1;
+                    let path = Self::extra_path(client, next_extra[client]);
+                    next_extra[client] += 1;
+                    created[client].push(path.clone());
                     Request::Create(CreateRequest {
-                        path: format!("{path}-extra-{create_counter:06}"),
+                        path,
                         data: vec![0u8; self.payload],
                         mode: CreateMode::Persistent,
                     })
@@ -119,10 +144,11 @@ impl WorkloadSpec {
                     mode: CreateMode::PersistentSequential,
                 }),
                 OpKind::Delete => {
-                    // Deleting the freshest extra node keeps the tree bounded.
-                    let target = format!("{path}-extra-{create_counter:06}");
-                    create_counter = create_counter.saturating_sub(1);
-                    Request::Delete(DeleteRequest { path: target, version: -1 })
+                    let path = created[client].pop().unwrap_or_else(|| {
+                        next_victim[client] += 1;
+                        Self::victim_path(client, next_victim[client] - 1)
+                    });
+                    Request::Delete(DeleteRequest { path, version: -1 })
                 }
             };
             ops.push(GeneratedOp { client, kind: chosen, request });
@@ -178,7 +204,7 @@ impl MultiSpec {
             clients: self.clients,
             seed: self.seed,
         }
-        .setup_requests()
+        .setup_requests(0)
     }
 
     /// Generates `count` transactions, attributed round-robin to the client
@@ -373,7 +399,7 @@ mod tests {
     #[test]
     fn setup_creates_parent_and_one_node_per_client() {
         let spec = WorkloadSpec::paper_mix(1024, 4);
-        let setup = spec.setup_requests();
+        let setup = spec.setup_requests(100);
         assert_eq!(setup.len(), 5);
         assert_eq!(setup[0].path(), Some("/bench"));
         assert_eq!(setup[1].path(), Some("/bench/client-0000"));
@@ -503,6 +529,51 @@ mod tests {
                 }
                 other => panic!("unexpected recipe shape {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn deletes_target_nodes_created_earlier_by_the_same_client_or_in_setup() {
+        use std::collections::HashMap;
+
+        let deletes_only = WorkloadSpec::single(OpKind::Delete, 8, 3);
+        let churn = WorkloadSpec {
+            mix: vec![(OpKind::Create, 0.5), (OpKind::Delete, 0.5), (OpKind::Get, 0.2)],
+            seed: 9,
+            ..deletes_only.clone()
+        };
+        for spec in [deletes_only, churn] {
+            let count = 300;
+            // Live node -> the client that owns it (`None`: created in setup).
+            let mut live: HashMap<String, Option<usize>> = spec
+                .setup_requests(count)
+                .iter()
+                .map(|request| (request.path().unwrap().to_string(), None))
+                .collect();
+            let mut deletes = 0;
+            for op in spec.generate(count) {
+                match op.request {
+                    Request::Create(create) => {
+                        assert!(live.insert(create.path, Some(op.client)).is_none());
+                    }
+                    Request::Delete(delete) => {
+                        deletes += 1;
+                        assert_ne!(delete.path, WorkloadSpec::client_path(op.client));
+                        let owner = live.remove(&delete.path);
+                        assert!(
+                            matches!(owner, Some(None)) || owner == Some(Some(op.client)),
+                            "{} deletes {} it does not own: {owner:?}",
+                            op.client,
+                            delete.path
+                        );
+                        if owner == Some(None) {
+                            assert!(delete.path.starts_with(&WorkloadSpec::client_path(op.client)));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            assert!(deletes > 0);
         }
     }
 

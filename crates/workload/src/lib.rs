@@ -1,38 +1,33 @@
 //! Evaluation substrate for the SecureKeeper reproduction.
 //!
 //! The paper evaluates SecureKeeper on a four-machine Skylake cluster against
-//! vanilla ZooKeeper and TLS-enabled ZooKeeper. This crate provides everything
-//! needed to regenerate the *shape* of every figure and table of that
-//! evaluation on a single machine:
+//! vanilla ZooKeeper and TLS-enabled ZooKeeper. This crate regenerates that
+//! evaluation on one machine by running the real system: every throughput
+//! figure and Table 1 are measured over live loopback TCP servers.
 //!
 //! * [`variant::Variant`] — the three systems under comparison;
-//! * [`costmodel::ServiceCostModel`] — a calibrated analytic model of
-//!   per-request service cost (network handling, agreement, TLS, enclave
-//!   transitions and storage encryption) used to compute throughput curves
-//!   deterministically;
-//! * [`generator`] — request generators for the paper's 70:30 GET/SET mix and
-//!   per-operation workloads;
+//! * [`generator`] — request generators for the paper's 70:30 GET/SET mix,
+//!   per-operation workloads, `multi` batches and transactional recipes;
 //! * [`ycsb`] — a YCSB-style mixed workload generator (Figure 11);
-//! * [`measured`] — drives the *real* in-process clusters (vanilla,
-//!   TLS-emulated and SecureKeeper) and measures wall-clock throughput, used
-//!   to validate the relative overheads of the analytic model;
-//! * [`netdriver`] — drives N *real TCP connections* against a live
-//!   [`zkserver::net::ZkTcpServer`], measuring actual connection concurrency
-//!   (the networked variant of the Figure 6 client-scaling experiment);
-//! * [`faults`] — the fault-tolerance timeline of Figure 12 (analytic);
-//! * [`failover`] — the *measured* Figure 12: throughput over time against a
-//!   live networked ensemble with an injected leader crash;
-//! * [`memtrace`] — the memory-usage-over-time trace of Figure 2;
-//! * [`report`] — the overhead table (Table 1), the message-size analysis
-//!   (Table 2) and the code-base size census (Table 3);
+//! * [`netdriver`] — starts a live [`zkserver::net::ZkTcpServer`] per
+//!   variant and drives N real TCP connections through it, synchronous or
+//!   pipelined, checking every reply (Figures 6–11, Table 1);
+//! * [`measured`] — the TLS-ZK baseline: transport encryption terminated in
+//!   untrusted replica code;
+//! * [`failover`] — Figure 12: throughput over time against a live
+//!   networked ensemble while a leader or a follower crashes;
+//! * [`memtrace`] — Figure 2, a *model*: the measured data-tree size of an
+//!   in-process cluster plus a JVM heap model, since the replicas here are
+//!   not JVMs;
+//! * [`report`] — the overhead table (Table 1, from measured throughputs),
+//!   the message-size analysis (Table 2) and the code-base size census
+//!   (Table 3);
 //! * [`metrics`] — small series/row containers shared by the bench binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod costmodel;
 pub mod failover;
-pub mod faults;
 pub mod generator;
 pub mod measured;
 pub mod memtrace;
@@ -42,5 +37,4 @@ pub mod report;
 pub mod variant;
 pub mod ycsb;
 
-pub use costmodel::ServiceCostModel;
 pub use variant::Variant;

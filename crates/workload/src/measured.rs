@@ -1,48 +1,28 @@
-//! Wall-clock measurements against the real in-process clusters.
+//! The TLS-ZK baseline: transport encryption terminated in untrusted replica
+//! code.
 //!
-//! The analytic cost model reproduces the paper's published percentages; this
-//! module provides the cross-check: it drives the *actual* implementations —
-//! vanilla `zkserver`, a TLS-emulated variant (transport encryption terminated
-//! in untrusted replica code), and full SecureKeeper — with the same workload
-//! and measures requests per second of wall-clock time. Absolute numbers
-//! reflect this machine, but the ordering (vanilla ≥ TLS ≥ SecureKeeper) and
-//! the rough magnitude of the overheads are directly comparable with Table 1.
+//! The paper compares SecureKeeper against ZooKeeper with TLS between
+//! clients and replicas. [`TlsInterceptor`] is that baseline on the real TCP
+//! server: it accepts the same 16-byte session-key handshake as
+//! SecureKeeper's entry-enclave interceptor, so clients connect with
+//! [`securekeeper::SecureSessionCredentials`] and seal every frame the same
+//! way, but the replica opens the frames itself and stores plaintext paths
+//! and payloads. It pays for transport crypto and nothing else: no storage
+//! encryption and no enclave transitions.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
-use jute::records::{OpCode, RequestHeader};
-use jute::{Request, Response};
+use jute::records::OpCode;
 use parking_lot::Mutex;
-use securekeeper::integration::{secure_cluster, SecureKeeperConfig};
 use securekeeper::transport::TransportChannel;
-use securekeeper::SecureKeeperClient;
-use zkcrypto::keys::SessionKey;
-use zkserver::client::{share, SharedCluster};
+use zkcrypto::keys::{Key128, SessionKey};
 use zkserver::pipeline::RequestInterceptor;
-use zkserver::{ZkCluster, ZkError, ZkReplica};
-
-use crate::generator::WorkloadSpec;
-use crate::variant::Variant;
-
-/// Result of one measured run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeasuredResult {
-    /// Which variant was measured.
-    pub variant: Variant,
-    /// Number of operations executed.
-    pub operations: usize,
-    /// Wall-clock duration in seconds.
-    pub seconds: f64,
-    /// Throughput in operations per second.
-    pub ops_per_second: f64,
-}
+use zkserver::ZkError;
 
 /// A transport-encrypting interceptor terminated in *untrusted* replica code —
 /// the moral equivalent of ZooKeeper's TLS support, used as the TLS-ZK
-/// baseline. Unlike SecureKeeper it performs no storage encryption and no
-/// enclave transitions.
+/// baseline.
 #[derive(Default)]
 pub struct TlsInterceptor {
     channels: Mutex<HashMap<i64, Arc<TransportChannel>>>,
@@ -60,11 +40,6 @@ impl TlsInterceptor {
         Self::default()
     }
 
-    /// Registers the server-side endpoint of a session's TLS-like channel.
-    pub fn register_session(&self, session_id: i64, key: &SessionKey) {
-        self.channels.lock().insert(session_id, Arc::new(TransportChannel::enclave_side(key)));
-    }
-
     fn channel(&self, session_id: i64) -> Result<Arc<TransportChannel>, ZkError> {
         self.channels.lock().get(&session_id).cloned().ok_or(ZkError::Marshalling {
             reason: format!("no TLS channel for session {session_id}"),
@@ -73,11 +48,22 @@ impl TlsInterceptor {
 }
 
 impl RequestInterceptor for TlsInterceptor {
+    fn on_session_established(&self, session_id: i64, handshake: &[u8]) -> Result<(), ZkError> {
+        // The same handshake SecureKeeper's entry-enclave manager parses: the
+        // blob is the 16-byte session key the client seals its frames with.
+        let key: [u8; 16] = handshake.try_into().map_err(|_| ZkError::Marshalling {
+            reason: format!("TLS handshake blob must be 16 bytes, got {}", handshake.len()),
+        })?;
+        let channel = TransportChannel::enclave_side(&SessionKey(Key128::from_bytes(key)));
+        self.channels.lock().insert(session_id, Arc::new(channel));
+        Ok(())
+    }
+
     fn on_request(&self, session_id: i64, buffer: &mut Vec<u8>) -> Result<(), ZkError> {
         let channel = self.channel(session_id)?;
-        let plain = channel.open(buffer).map_err(ZkError::from)?;
-        *buffer = plain;
-        Ok(())
+        channel
+            .open_in_place(buffer)
+            .map_err(|err| ZkError::Marshalling { reason: err.to_string() })
     }
 
     fn on_response(
@@ -86,8 +72,12 @@ impl RequestInterceptor for TlsInterceptor {
         _op: OpCode,
         buffer: &mut Vec<u8>,
     ) -> Result<(), ZkError> {
-        let channel = self.channel(session_id)?;
-        *buffer = channel.seal(buffer);
+        self.channel(session_id)?.seal_in_place(buffer);
+        Ok(())
+    }
+
+    fn on_event(&self, session_id: i64, buffer: &mut Vec<u8>) -> Result<(), ZkError> {
+        self.channel(session_id)?.seal_in_place(buffer);
         Ok(())
     }
 
@@ -100,235 +90,128 @@ impl RequestInterceptor for TlsInterceptor {
     }
 }
 
-/// A client for the TLS-emulated variant: transport-encrypts every message but
-/// relies on the replica (not an enclave) to decrypt it.
-#[derive(Debug)]
-pub struct TlsClient {
-    cluster: SharedCluster,
-    session_id: i64,
-    transport: TransportChannel,
-    next_xid: std::sync::atomic::AtomicI32,
-}
-
-impl TlsClient {
-    /// Connects a TLS-emulated session to `replica`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZkError`] when the replica is unreachable.
-    pub fn connect(
-        cluster: &SharedCluster,
-        interceptors: &HashMap<zab::NodeId, Arc<TlsInterceptor>>,
-        replica: zab::NodeId,
-    ) -> Result<Self, ZkError> {
-        let response = cluster.lock().connect_default(replica)?;
-        let key = SessionKey::generate();
-        interceptors[&replica].register_session(response.session_id, &key);
-        Ok(TlsClient {
-            cluster: Arc::clone(cluster),
-            session_id: response.session_id,
-            transport: TransportChannel::client_side(&key),
-            next_xid: std::sync::atomic::AtomicI32::new(1),
-        })
-    }
-
-    /// Issues one request over the encrypted channel and returns the response.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZkError`] on transport or protocol failures.
-    pub fn call(&self, request: &Request) -> Result<Response, ZkError> {
-        let xid = self.next_xid.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let op = request.op();
-        let bytes = request.to_bytes(&RequestHeader { xid, op });
-        let sealed = self.transport.seal(&bytes);
-        let response_sealed = self.cluster.lock().submit_serialized(self.session_id, sealed)?;
-        let plain = self.transport.open(&response_sealed).map_err(ZkError::from)?;
-        let (_, response) = Response::from_bytes(&plain, op)?;
-        Ok(response)
-    }
-}
-
-/// Builds the TLS-emulated cluster together with its per-replica interceptors.
-pub fn tls_cluster(size: usize) -> (SharedCluster, HashMap<zab::NodeId, Arc<TlsInterceptor>>) {
-    let interceptors: Mutex<HashMap<zab::NodeId, Arc<TlsInterceptor>>> = Mutex::new(HashMap::new());
-    let cluster = ZkCluster::with_replica_factory(size, |id| {
-        let interceptor = Arc::new(TlsInterceptor::new());
-        interceptors.lock().insert(zab::NodeId(id), Arc::clone(&interceptor));
-        ZkReplica::new(id).with_interceptor(interceptor)
-    });
-    (share(cluster), interceptors.into_inner())
-}
-
-/// Runs `operations` requests of the paper's 70:30 mix with `payload`-byte
-/// values against the given variant and measures wall-clock throughput.
-pub fn run_measured(variant: Variant, operations: usize, payload: usize) -> MeasuredResult {
-    let clients = 4;
-    let spec = WorkloadSpec::paper_mix(payload, clients);
-    let setup = spec.setup_requests();
-    let ops = spec.generate(operations);
-
-    let start;
-    match variant {
-        Variant::VanillaZk => {
-            let cluster = share(ZkCluster::new(3));
-            let ids = cluster.lock().replica_ids();
-            let handles: Vec<zkserver::ZkClient> = (0..clients)
-                .map(|i| {
-                    zkserver::ZkClient::connect(&cluster, ids[i % ids.len()]).expect("connect")
-                })
-                .collect();
-            for request in &setup {
-                submit_typed(&handles[0], request);
-            }
-            start = Instant::now();
-            for op in &ops {
-                submit_typed(&handles[op.client % handles.len()], &op.request);
-            }
-        }
-        Variant::TlsZk => {
-            let (cluster, interceptors) = tls_cluster(3);
-            let ids = cluster.lock().replica_ids();
-            let handles: Vec<TlsClient> = (0..clients)
-                .map(|i| {
-                    TlsClient::connect(&cluster, &interceptors, ids[i % ids.len()])
-                        .expect("connect")
-                })
-                .collect();
-            for request in &setup {
-                handles[0].call(request).expect("setup");
-            }
-            start = Instant::now();
-            for op in &ops {
-                handles[op.client % handles.len()].call(&op.request).expect("request");
-            }
-        }
-        Variant::SecureKeeper => {
-            let config = SecureKeeperConfig::with_label("measured-run");
-            let (cluster, sk_handles) = secure_cluster(3, &config);
-            let ids = cluster.lock().replica_ids();
-            let handles: Vec<SecureKeeperClient> = (0..clients)
-                .map(|i| {
-                    SecureKeeperClient::connect(&cluster, &sk_handles, ids[i % ids.len()])
-                        .expect("connect")
-                })
-                .collect();
-            for request in &setup {
-                submit_secure(&handles[0], request);
-            }
-            start = Instant::now();
-            for op in &ops {
-                submit_secure(&handles[op.client % handles.len()], &op.request);
-            }
-        }
-    }
-    let seconds = start.elapsed().as_secs_f64().max(1e-9);
-    MeasuredResult { variant, operations, seconds, ops_per_second: operations as f64 / seconds }
-}
-
-fn submit_typed(client: &zkserver::ZkClient, request: &Request) {
-    match request {
-        Request::GetData(get) => {
-            let _ = client.get_data(&get.path, false);
-        }
-        Request::SetData(set) => {
-            let _ = client.set_data(&set.path, set.data.clone(), set.version);
-        }
-        Request::Create(create) => {
-            let _ = client.create(&create.path, create.data.clone(), create.mode);
-        }
-        Request::Delete(delete) => {
-            let _ = client.delete(&delete.path, delete.version);
-        }
-        Request::GetChildren(ls) => {
-            let _ = client.get_children(&ls.path, false);
-        }
-        other => {
-            let _ = other;
-        }
-    }
-}
-
-fn submit_secure(client: &SecureKeeperClient, request: &Request) {
-    match request {
-        Request::GetData(get) => {
-            let _ = client.get_data(&get.path, false);
-        }
-        Request::SetData(set) => {
-            let _ = client.set_data(&set.path, set.data.clone(), set.version);
-        }
-        Request::Create(create) => {
-            let _ = client.create(&create.path, create.data.clone(), create.mode);
-        }
-        Request::Delete(delete) => {
-            let _ = client.delete(&delete.path, delete.version);
-        }
-        Request::GetChildren(ls) => {
-            let _ = client.get_children(&ls.path, false);
-        }
-        other => {
-            let _ = other;
-        }
-    }
-}
-
-/// Runs all three variants with the same workload and returns the results.
-pub fn compare_variants(operations: usize, payload: usize) -> Vec<MeasuredResult> {
-    Variant::all().iter().map(|&variant| run_measured(variant, operations, payload)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::WorkloadSpec;
+    use crate::netdriver::{run_workload, LiveServer};
+    use crate::variant::{RequestMode, Variant};
+    use jute::records::{
+        CreateMode, CreateRequest, GetChildrenRequest, GetDataRequest, SetDataRequest,
+    };
+    use jute::{Request, Response};
 
     #[test]
     fn tls_emulated_cluster_round_trips_requests() {
-        let (cluster, interceptors) = tls_cluster(3);
-        let replica = cluster.lock().replica_ids()[0];
-        let client = TlsClient::connect(&cluster, &interceptors, replica).unwrap();
-        let response = client
-            .call(&Request::Create(jute::records::CreateRequest {
-                path: "/tls-test".into(),
-                data: b"v".to_vec(),
-                mode: jute::records::CreateMode::Persistent,
-            }))
-            .unwrap();
-        assert!(response.is_ok());
-        let response = client
-            .call(&Request::GetData(jute::records::GetDataRequest {
-                path: "/tls-test".into(),
-                watch: false,
-            }))
-            .unwrap();
-        match response {
-            Response::GetData(get) => assert_eq!(get.data, b"v"),
-            other => panic!("unexpected {other:?}"),
-        }
+        let server = LiveServer::start(Variant::TlsZk);
+        let mut client = server.connect().unwrap();
+        client.create("/tls-test", b"v".to_vec(), CreateMode::Persistent).unwrap();
+        assert_eq!(client.get_data("/tls-test", false).unwrap().0, b"v");
         // Unlike SecureKeeper, the store sees the plaintext path (TLS protects
         // only the wire).
-        assert!(cluster.lock().replica(replica).tree().contains("/tls-test"));
+        assert!(server.replica().tree().contains("/tls-test"));
+        client.close();
+        server.shutdown();
+    }
+
+    #[test]
+    fn tls_handshake_rejects_an_empty_or_wrong_length_blob() {
+        let interceptor = TlsInterceptor::new();
+        for blob in [&[][..], &[7u8; 15][..], &[7u8; 17][..]] {
+            let err = interceptor.on_session_established(1, blob).unwrap_err();
+            assert!(matches!(err, ZkError::Marshalling { .. }), "{err:?}");
+        }
+        assert!(interceptor.channel(1).is_err(), "a rejected handshake installs no channel");
+        interceptor.on_session_established(1, &[7u8; 16]).unwrap();
+        assert!(interceptor.channel(1).is_ok());
     }
 
     #[test]
     fn measured_runs_complete_and_report_positive_throughput() {
         for variant in Variant::all() {
-            let result = run_measured(variant, 300, 64);
-            assert_eq!(result.operations, 300);
-            assert!(result.ops_per_second > 0.0, "{variant}");
+            let server = LiveServer::start(variant);
+            let spec = WorkloadSpec::paper_mix(64, 2);
+            for mode in RequestMode::all() {
+                let report = run_workload(&server, &spec, 60, mode).unwrap();
+                assert_eq!(report.total_ops, 120, "{variant} {mode}");
+                assert!(report.throughput_rps > 0.0, "{variant} {mode}");
+            }
+            server.shutdown();
         }
     }
 
+    /// Puts a window of mixed SET/GET/CREATE/LS tickets in flight on one
+    /// connection before redeeming any, then checks every decoded reply —
+    /// so the server-side interceptor must pair each response with its
+    /// request (the entry enclave does it with its FIFO pending queue).
+    fn pipelines_mixed_tickets(variant: Variant) {
+        const ROUNDS: usize = 16;
+        let server = LiveServer::start(variant);
+        let mut client = server.connect().unwrap();
+        client.create("/p", Vec::new(), CreateMode::Persistent).unwrap();
+        client.create("/p/node", vec![0; 64], CreateMode::Persistent).unwrap();
+
+        let mut tickets = Vec::new();
+        for round in 0..ROUNDS {
+            let fill = round as u8 + 1;
+            for request in [
+                Request::SetData(SetDataRequest {
+                    path: "/p/node".into(),
+                    data: vec![fill; 64 + round],
+                    version: -1,
+                }),
+                Request::GetData(GetDataRequest { path: "/p/node".into(), watch: false }),
+                Request::Create(CreateRequest {
+                    path: format!("/p/c-{round:03}"),
+                    data: vec![fill; round],
+                    mode: CreateMode::Persistent,
+                }),
+                Request::GetChildren(GetChildrenRequest { path: "/p".into(), watch: false }),
+            ] {
+                tickets.push(client.submit(&request).unwrap());
+            }
+        }
+        // Redeem newest first: the first wait drains every earlier reply.
+        let mut replies: Vec<Response> =
+            tickets.iter().rev().map(|&ticket| client.wait(ticket).unwrap()).collect();
+        replies.reverse();
+        for (round, replies) in replies.chunks(4).enumerate() {
+            let fill = round as u8 + 1;
+            match &replies[0] {
+                Response::SetData(set) => assert_eq!(set.stat.version, round as i32 + 1),
+                other => panic!("{variant} round {round}: SET got {other:?}"),
+            }
+            match &replies[1] {
+                Response::GetData(get) => assert_eq!(get.data, vec![fill; 64 + round]),
+                other => panic!("{variant} round {round}: GET got {other:?}"),
+            }
+            match &replies[2] {
+                Response::Create(create) => assert_eq!(create.path, format!("/p/c-{round:03}")),
+                other => panic!("{variant} round {round}: CREATE got {other:?}"),
+            }
+            match &replies[3] {
+                Response::GetChildren(ls) => {
+                    let mut children = ls.children.clone();
+                    children.sort();
+                    let mut expected: Vec<String> =
+                        (0..=round).map(|r| format!("c-{r:03}")).collect();
+                    expected.push("node".into());
+                    assert_eq!(children, expected, "{variant} round {round}");
+                }
+                other => panic!("{variant} round {round}: LS got {other:?}"),
+            }
+        }
+        client.close();
+        server.shutdown();
+    }
+
     #[test]
-    fn securekeeper_is_not_faster_than_vanilla_in_real_execution() {
-        // Use enough operations to average out scheduling noise but keep the
-        // test quick. We only assert the ordering the paper reports.
-        let vanilla = run_measured(Variant::VanillaZk, 1_500, 512);
-        let sk = run_measured(Variant::SecureKeeper, 1_500, 512);
-        assert!(
-            sk.ops_per_second < vanilla.ops_per_second * 1.10,
-            "SecureKeeper ({:.0} op/s) should not beat vanilla ({:.0} op/s)",
-            sk.ops_per_second,
-            vanilla.ops_per_second
-        );
+    fn secure_connection_pipelines_mixed_tickets_through_the_enclave_fifo() {
+        pipelines_mixed_tickets(Variant::SecureKeeper);
+    }
+
+    #[test]
+    fn tls_connection_pipelines_mixed_tickets() {
+        pipelines_mixed_tickets(Variant::TlsZk);
     }
 }

@@ -100,7 +100,7 @@ impl MemoryTrace {
         }
 
         let spec = WorkloadSpec::paper_mix(self.payload, self.clients);
-        let setup = spec.setup_requests();
+        let setup = spec.setup_requests(0);
         let mut setup_done = false;
         let mut ops =
             spec.generate((self.requests_per_second as f64 * self.duration_s) as usize).into_iter();
